@@ -15,6 +15,7 @@ warning when the network contains non-reciprocal ties.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -62,38 +63,53 @@ def _index_adjacency(
     return [sorted(idx[w] for w in adjacency[v]) for v in order]
 
 
+def _shortest_path_dag(
+    s: int, nbrs: list[list[int]]
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """BFS from ``s``: visit order, shortest-path counts and predecessors.
+
+    The visit order doubles as the queue. Nodes are visited in
+    nondecreasing distance, so walking it backwards is a valid order for
+    dependency accumulation. ``preds[w]`` stays None for unreached ``w`` and
+    for ``s`` itself.
+    """
+    n = len(nbrs)
+    sigma = [0] * n
+    dist = [-1] * n
+    preds: list[list[int]] = [None] * n  # type: ignore[list-item]  # set on discovery
+    sigma[s] = 1
+    dist[s] = 0
+    seen = [s]
+    for v in seen:
+        d1 = dist[v] + 1
+        sv = sigma[v]
+        for w in nbrs[v]:
+            dw = dist[w]
+            if dw < 0:
+                dist[w] = d1
+                sigma[w] = sv
+                preds[w] = [v]
+                seen.append(w)
+            elif dw == d1:
+                sigma[w] += sv
+                preds[w].append(v)
+    return seen, sigma, preds
+
+
 def _brandes(order: list[int], nbrs: list[list[int]]) -> list[float]:
     """Accumulate shortest-path dependencies source by source (ascending id)."""
     n = len(order)
     bc = [0.0] * n
     for s in range(n):
-        sigma = [0] * n
-        dist = [-1] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma[s] = 1
-        dist[s] = 0
-        stack: list[int] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            dv = dist[v]
-            sv = sigma[v]
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sv
-                    preds[w].append(v)
+        seen, sigma, preds = _shortest_path_dag(s, nbrs)
         delta = [0.0] * n
-        while stack:
-            w = stack.pop()
+        for w in reversed(seen):
+            if w == s:
+                continue
             coeff = (1.0 + delta[w]) / sigma[w]
             for v in preds[w]:
                 delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
+            bc[w] += delta[w]
     return bc
 
 
@@ -166,14 +182,15 @@ def eigenvector(net: FriendshipNetwork | UndirectedView) -> CentralityScores:
         raise EmptyEdgeSet("eigenvector centrality needs at least one edge")
 
     order = sorted(view.nodes)
-    n = len(order)
     nbrs = _index_adjacency(order, view.adjacency)
-    x = [1.0] * n
+    x = [1.0] * len(order)
     for _ in range(POWER_ITERATION_CAP):
-        y = [x[i] + sum(x[j] for j in nbrs[i]) for i in range(n)]
+        get = x.__getitem__
+        # x[i] + (0 + neighbours): sum(row, x[i]) would add in another order
+        y = [xi + sum(map(get, row)) for xi, row in zip(x, nbrs)]
         top = max(y)
         y = [v / top for v in y]
-        if max(abs(y[i] - x[i]) for i in range(n)) < POWER_ITERATION_TOL:
+        if max(map(abs, map(operator.sub, y, x))) < POWER_ITERATION_TOL:
             x = y
             break
         x = y
@@ -203,10 +220,13 @@ def degree(net: FriendshipNetwork) -> CentralityScores:
     )
 
 
+def top_k(scores: Mapping[int, float], k: int) -> list[int]:
+    """The k highest-scoring nodes, ties broken by ascending id."""
+    if not 1 <= k <= len(scores):
+        raise KTooLarge(f"k={k} outside 1..{len(scores)}")
+    return sorted(scores, key=lambda v: (-scores[v], v))[:k]
+
+
 def rank_representatives(net: FriendshipNetwork, k: int) -> list[int]:
     """Top-k nodes by directed betweenness, ties broken by ascending id."""
-    if not 1 <= k <= len(net.nodes):
-        raise KTooLarge(f"k={k} outside 1..{len(net.nodes)}")
-    scores = betweenness(net, Mode.DIRECTED).scores
-    ranked = sorted(scores, key=lambda v: (-scores[v], v))
-    return ranked[:k]
+    return top_k(betweenness(net, Mode.DIRECTED).scores, k)

@@ -21,7 +21,7 @@ from .centrality import (
     closeness,
     degree,
     eigenvector,
-    rank_representatives,
+    top_k,
 )
 from .community import Partition, best_partition, girvan_newman
 from .config import OUT_DIR_ENV, RunConfig, build_config, load_config_file
@@ -227,10 +227,12 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     path = _write(out / f"centrality_{measure.value}.csv", iof.scores_csv(scores))
     written = [path]
     if args.top is not None:
-        ranked = rank_representatives(net, args.top)
-        ranked_scores = betweenness(net, Mode.DIRECTED).scores
+        if scores.measure is Measure.BETWEENNESS and scores.mode is Mode.DIRECTED:
+            directed = scores.scores
+        else:
+            directed = betweenness(net, Mode.DIRECTED).scores
         written.append(_write(out / "representatives.csv",
-                              iof.representatives_csv(ranked, ranked_scores)))
+                              iof.representatives_csv(top_k(directed, args.top), directed)))
     print(f"wrote {', '.join(str(p) for p in written)}")
     return EXIT_OK
 

@@ -13,10 +13,10 @@ the fraction of edge endpoints attached to c.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from .centrality import _shortest_path_dag
 from .errors import DataError, EmptyEdgeSet, EmptyTrace, UnassignedNode
 from .model import UndirectedView, _components
 
@@ -101,28 +101,11 @@ def _edge_betweenness_subset(
             if i < j:
                 eb[(i, j)] = 0.0
     for s in range(n):
-        sigma = [0] * n
-        dist = [-1] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma[s] = 1
-        dist[s] = 0
-        stack: list[int] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            dv = dist[v]
-            sv = sigma[v]
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sv
-                    preds[w].append(v)
+        seen, sigma, preds = _shortest_path_dag(s, nbrs)
         delta = [0.0] * n
-        while stack:
-            w = stack.pop()
+        for w in reversed(seen):
+            if w == s:
+                continue
             coeff = (1.0 + delta[w]) / sigma[w]
             for v in preds[w]:
                 c = sigma[v] * coeff

@@ -51,7 +51,15 @@ class GraphFormat(str, Enum):
 
 
 def _text(data: bytes | str) -> str:
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"byte offset {exc.start}: 0x{data[exc.start]:02x} is not valid UTF-8", line=line
+        ) from None
 
 
 def _rows(data: bytes | str) -> list[tuple[int, list[str]]]:
@@ -243,6 +251,13 @@ def save_cohort(cohort: Cohort) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _json_id(value: object) -> int:
+    """An id from a cohort file; bools and fractional numbers are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidId(f"cohort file: id {value!r} is not an integer")
+    return int(value)  # type: ignore[call-overload]
+
+
 def load_cohort(data: bytes | str) -> Cohort:
     try:
         doc = json.loads(_text(data))
@@ -250,12 +265,14 @@ def load_cohort(data: bytes | str) -> Cohort:
         raise DataError(f"cohort file is not valid JSON: {exc}") from None
     try:
         label = doc["label"]
+        if not isinstance(label, str):
+            raise DataError(f"cohort file: label {label!r} is not a string")
         students = [
-            Student(id=int(s["id"]), gender=Gender(s["gender"]),
+            Student(id=_json_id(s["id"]), gender=Gender(s["gender"]),
                     marks={str(k): float(v) for k, v in s.get("marks", {}).items()})
             for s in doc["students"]
         ]
-        edges = [(int(s), int(t)) for s, t in doc["edges"]]
+        edges = [(_json_id(s), _json_id(t)) for s, t in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"cohort file has an unexpected shape: {exc}") from None
     return make_cohort(students, edges, label)
@@ -311,8 +328,13 @@ def export_graph(
     return _export_graphml(net, genders, marks, partition)
 
 
+def _dot_quote(text: str) -> str:
+    """A DOT double-quoted string; only backslash and quote need escaping."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _export_dot(net, genders, marks, partition) -> bytes:
-    lines = [f'digraph "{net.label}" {{']
+    lines = [f"digraph {_dot_quote(net.label)} {{"]
     for v in sorted(net.nodes):
         attrs = []
         if genders is not None and v in genders:

@@ -3,13 +3,15 @@
 Betweenness oracles enumerate every simple path between a node pair and
 keep the shortest ones; modularity is evaluated straight from the edge
 list in exact rational arithmetic. These deliberately share no code with
-the fast paths they check.
+the fast paths they check. The frozen references at the end are copies of
+earlier library loops, kept so optimized code can be held to exact equality.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 
@@ -131,3 +133,147 @@ def random_undirected_edges(rng: random.Random, max_nodes=8, edge_prob=0.45):
         if rng.random() < edge_prob
     ]
     return nodes, edges
+
+
+# -- frozen references ---------------------------------------------------------
+# Verbatim copies of the library's shortest-path and power-iteration loops as
+# they stood before those loops were optimized. The optimized code must match
+# them exactly (==, not approximately): same additions in the same order.
+
+
+def index_adjacency_ref(order, adjacency):
+    idx = {v: i for i, v in enumerate(order)}
+    return [sorted(idx[w] for w in adjacency[v]) for v in order]
+
+
+def brandes_ref(order: list[int], nbrs: list[list[int]]) -> list[float]:
+    """Accumulate shortest-path dependencies source by source (ascending id)."""
+    n = len(order)
+    bc = [0.0] * n
+    for s in range(n):
+        sigma = [0] * n
+        dist = [-1] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma[s] = 1
+        dist[s] = 0
+        stack: list[int] = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            dv = dist[v]
+            sv = sigma[v]
+            for w in nbrs[v]:
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    queue.append(w)
+                if dist[w] == dv + 1:
+                    sigma[w] += sv
+                    preds[w].append(v)
+        delta = [0.0] * n
+        while stack:
+            w = stack.pop()
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                bc[w] += delta[w]
+    return bc
+
+
+def edge_betweenness_subset_ref(members, adjacency):
+    """Brandes-style edge accumulation restricted to ``members``.
+
+    ``members`` must be closed under ``adjacency`` (e.g. a connected
+    component, or a whole view).
+    """
+    idx = {v: i for i, v in enumerate(members)}
+    nbrs = [sorted(idx[w] for w in adjacency[v]) for v in members]
+    n = len(members)
+    eb: dict[tuple[int, int], float] = {}
+    for i, row in enumerate(nbrs):
+        for j in row:
+            if i < j:
+                eb[(i, j)] = 0.0
+    for s in range(n):
+        sigma = [0] * n
+        dist = [-1] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma[s] = 1
+        dist[s] = 0
+        stack: list[int] = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            dv = dist[v]
+            sv = sigma[v]
+            for w in nbrs[v]:
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    queue.append(w)
+                if dist[w] == dv + 1:
+                    sigma[w] += sv
+                    preds[w].append(v)
+        delta = [0.0] * n
+        while stack:
+            w = stack.pop()
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                c = sigma[v] * coeff
+                eb[(v, w) if v < w else (w, v)] += c
+                delta[v] += c
+    # every unordered pair was counted from both endpoints
+    return {(members[i], members[j]): val / 2.0 for (i, j), val in eb.items()}
+
+
+def power_iteration_ref(nbrs, tol=1e-10, cap=1000):
+    """Power iteration on A + I, max scaled to 1; None if it does not settle."""
+    n = len(nbrs)
+    x = [1.0] * n
+    for _ in range(cap):
+        y = [x[i] + sum(x[j] for j in nbrs[i]) for i in range(n)]
+        top = max(y)
+        y = [v / top for v in y]
+        if max(abs(y[i] - x[i]) for i in range(n)) < tol:
+            x = y
+            break
+        x = y
+    else:
+        return None
+    return x
+
+
+def planted_community_edges(seed, n=400, intra_prob=0.55, reciprocal_prob=0.6):
+    """Directed ties of a seeded cohort of ``n`` students in communities of 4-12.
+
+    Communities are tied internally at ``intra_prob`` per pair and joined by
+    a ring of cross ties plus a few random ones, so the union view is
+    connected.
+    """
+    rng = random.Random(seed)
+    communities = []
+    start = 0
+    while start < n:
+        size = min(rng.randint(4, 12), n - start)
+        communities.append(list(range(start, start + size)))
+        start += size
+    edges = set()
+    for members in communities:
+        for a, b in zip(members, members[1:]):
+            edges.add((a, b))
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                if rng.random() >= intra_prob:
+                    continue
+                if rng.random() < reciprocal_prob:
+                    edges.update([(a, b), (b, a)])
+                else:
+                    edges.add((a, b) if rng.random() < 0.5 else (b, a))
+    k = len(communities)
+    for c in range(k):
+        edges.add((rng.choice(communities[c]), rng.choice(communities[(c + 1) % k])))
+    for _ in range(2 * k // 3):
+        a, b = rng.sample(range(k), 2)
+        edges.add((rng.choice(communities[a]), rng.choice(communities[b])))
+    return list(range(n)), sorted(edges)

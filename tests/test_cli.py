@@ -1,3 +1,7 @@
+import json
+
+import pytest
+
 from cohortnet import Gender, Student, make_cohort
 from cohortnet.cli import main
 from cohortnet.io_formats import save_cohort
@@ -69,6 +73,46 @@ class TestIngest:
                 "--edges", str(tmp_path / "e.csv"), "--out", str(tmp_path / "c.json")]
         assert main(base) == 2
         assert main(base + ["--dedupe"]) == 0
+
+
+class TestInputHardening:
+    def test_non_utf8_roster_exit_2_with_offset(self, tmp_path, capsys):
+        (tmp_path / "r.csv").write_bytes(b"id,gender,mark_s5\n1,M,\xff50\n")
+        (tmp_path / "e.csv").write_text("source,target\n")
+        code = main(["ingest", "--roster", str(tmp_path / "r.csv"),
+                     "--edges", str(tmp_path / "e.csv"), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "byte offset 22" in err
+
+    def test_non_utf8_cohort_exit_2(self, tmp_path):
+        (tmp_path / "c.json").write_bytes(b'{"label": "\xff"}')
+        assert main(["analyze", str(tmp_path / "c.json"), "--measure", "degree",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("student_id,edge", [
+        (True, [1, 2]), (2.7, [1, 2]), (1, [True, 2]), (1, [1, 2.5]), (1, [1, 1e999]),
+    ])
+    def test_non_integer_cohort_ids_exit_2(self, tmp_path, capsys, student_id, edge):
+        doc = {"label": "t", "edges": [edge],
+               "students": [{"id": student_id, "gender": "U"}, {"id": 2, "gender": "U"}]}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["analyze", str(tmp_path / "c.json"), "--measure", "degree",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
+    def test_integral_float_id_still_accepted(self, tmp_path):
+        doc = {"label": "t", "edges": [[1.0, 2]],
+               "students": [{"id": 1.0, "gender": "U"}, {"id": 2, "gender": "U"}]}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["analyze", str(tmp_path / "c.json"), "--measure", "degree",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+
+    def test_non_string_label_exit_2(self, tmp_path):
+        doc = {"label": 5, "edges": [], "students": [{"id": 1, "gender": "U"}]}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["export", str(tmp_path / "c.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 2
 
 
 class TestAnalyze:

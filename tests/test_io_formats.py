@@ -1,7 +1,10 @@
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohortnet import (
     Gender,
@@ -41,6 +44,29 @@ from cohortnet.io_formats import (
 from conftest import mknet
 
 ROSTER = "id,gender,mark_s5\n1,M,80\n2,F,55\n"
+
+# DOT lexical classes: double-quoted string (backslash escapes the next
+# character), identifier/numeral, edge operator, punctuation, whitespace.
+_DOT_TOKEN = re.compile(
+    r'"(?:[^"\\]|\\.)*"|[A-Za-z_0-9.]+|->|[{}\[\];,=]|\s+', re.DOTALL
+)
+
+
+def dot_tokens(text):
+    """Tokenize DOT text, failing on any character no token class accepts."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _DOT_TOKEN.match(text, pos)
+        assert m is not None, f"untokenizable DOT at {pos}: {text[pos:pos + 20]!r}"
+        if not m.group().isspace():
+            tokens.append(m.group())
+        pos = m.end()
+    return tokens
+
+
+def dot_unquote(token):
+    assert token[0] == token[-1] == '"'
+    return re.sub(r"\\(.)", r"\1", token[1:-1], flags=re.DOTALL)
 
 
 class TestRoster:
@@ -140,6 +166,19 @@ class TestGraphExport:
         net = mknet([], nodes=set())
         data = export_graph(net, GraphFormat.DOT).decode()
         assert data.startswith("digraph") and data.rstrip().endswith("}")
+
+    @given(st.text())
+    def test_dot_label_is_one_quoted_token(self, label):
+        net = mknet([(1, 2)], label=label)
+        tokens = dot_tokens(export_graph(net, GraphFormat.DOT).decode())
+        assert tokens[0] == "digraph" and tokens[2] == "{" and tokens[-1] == "}"
+        assert dot_unquote(tokens[1]) == label
+        assert tokens[3:-1] == ["1", ";", "2", ";", "1", "->", "2", ";"]
+
+    def test_dot_label_injection_escaped(self):
+        net = mknet([(1, 2)], label='x"]; evil \\')
+        first = export_graph(net, GraphFormat.DOT).decode().splitlines()[0]
+        assert first == 'digraph "x\\"]; evil \\\\" {'
 
     def test_deterministic_bytes(self):
         net = mknet([(2, 1), (1, 3)])
