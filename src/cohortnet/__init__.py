@@ -5,64 +5,53 @@ communities with divisive edge-betweenness removal and modularity
 selection, ranks representatives by betweenness, classifies clusters by
 mean mark, and plans assignment groups that keep high-performing clusters
 intact while dispersing low-performing ones.
+
+The public names below are re-exported from their submodules. Each
+submodule loads on first access to one of its names (PEP 562), so
+importing the package, or one submodule, does not import the rest.
 """
 
-from .centrality import (
-    CentralityScores,
-    Measure,
-    Mode,
-    betweenness,
-    closeness,
-    degree,
-    eigenvector,
-    rank_representatives,
-)
-from .community import (
-    DivisionStep,
-    DivisionTrace,
-    ModularityCurve,
-    Partition,
-    best_partition,
-    edge_betweenness,
-    girvan_newman,
-    modularity,
-    partition_from_blocks,
-)
-from .config import RunConfig
-from .demo import generate_demo_cohort
-from .intervention import (
-    AssignmentPlan,
-    GroupProfile,
-    InterventionPolicy,
-    PlanGroup,
-    Role,
-    plan_intervention,
-    predicted_group_profile,
-)
-from .model import (
-    Cohort,
-    FriendshipNetwork,
-    Gender,
-    Student,
-    SymmetrizeRule,
-    UndirectedView,
-    build_network,
-    make_cohort,
-    pendant_vertices,
-    reciprocity_rate,
-    symmetrize,
-    weak_components,
-)
-from .stats import (
-    ClusterPerformance,
-    DistributionSummary,
-    GroupComparison,
-    PerfClass,
-    Shape,
-    cluster_performance,
-    compare_groups,
-    skewness,
-    summarize,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "centrality": (
+        "CentralityScores", "Measure", "Mode", "betweenness", "closeness", "degree",
+        "eigenvector", "rank_representatives",
+    ),
+    "community": (
+        "DivisionStep", "DivisionTrace", "ModularityCurve", "Partition", "best_partition",
+        "edge_betweenness", "girvan_newman", "modularity", "partition_from_blocks",
+    ),
+    "config": ("RunConfig",),
+    "demo": ("generate_demo_cohort",),
+    "intervention": (
+        "AssignmentPlan", "GroupProfile", "InterventionPolicy", "PlanGroup", "Role",
+        "plan_intervention", "predicted_group_profile",
+    ),
+    "model": (
+        "Cohort", "FriendshipNetwork", "Gender", "Student", "SymmetrizeRule", "UndirectedView",
+        "build_network", "make_cohort", "pendant_vertices", "reciprocity_rate", "symmetrize",
+        "weak_components",
+    ),
+    "stats": (
+        "ClusterPerformance", "DistributionSummary", "GroupComparison", "PerfClass", "Shape",
+        "cluster_performance", "compare_groups", "skewness", "summarize",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

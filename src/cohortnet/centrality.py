@@ -19,10 +19,16 @@ import operator
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import DisconnectedGraph, EmptyEdgeSet, KTooLarge, NoConvergence
-from .model import FriendshipNetwork, SymmetrizeRule, UndirectedView, symmetrize
+from .model import (  # Measure and Mode are re-exported from here
+    FriendshipNetwork,
+    Measure,
+    Mode,
+    SymmetrizeRule,
+    UndirectedView,
+    symmetrize,
+)
 
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_CAP = 1000
@@ -31,18 +37,6 @@ DIRECTED_INPUT_WARNING = (
     "network contains non-reciprocal ties; scores were computed on the "
     "union-symmetrized view and may not reflect the directed structure"
 )
-
-
-class Measure(str, Enum):
-    DEGREE = "degree"
-    BETWEENNESS = "betweenness"
-    CLOSENESS = "closeness"
-    EIGENVECTOR = "eigenvector"
-
-
-class Mode(str, Enum):
-    DIRECTED = "directed"
-    UNDIRECTED = "undirected"
 
 
 @dataclass(frozen=True)

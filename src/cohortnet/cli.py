@@ -11,35 +11,27 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import io_formats as iof
-from .centrality import (
-    Measure,
-    Mode,
-    betweenness,
-    closeness,
-    degree,
-    eigenvector,
-    top_k,
-)
-from .community import Partition, best_partition, girvan_newman
 from .config import OUT_DIR_ENV, RunConfig, build_config, load_config_file
-from .demo import DEFAULT_SEED, generate_demo_cohort
 from .errors import AnalysisError, DataError, MissingMark, UsageError
-from .intervention import plan_intervention, predicted_group_profile
-from .model import Cohort, SymmetrizeRule, make_cohort, symmetrize
-from .stats import compare_groups, cluster_performance, summarize
+from .model import Cohort, Measure, Mode, SymmetrizeRule, make_cohort, symmetrize
+
+if TYPE_CHECKING:
+    from .community import ModularityCurve, Partition
+
+# Each command imports the analysis modules it runs inside its own function,
+# so a process pays only for the code its command needs.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ANALYSIS = 3
 
-_CONFIG_KEYS = (
-    "high_t", "low_t", "k_max", "bin_width", "min_group", "max_group",
-    "keep_low_subgroups", "symmetrize", "out_dir",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 log = logging.getLogger("cohortnet")
 
@@ -119,7 +111,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("demo", parents=[common],
                        help="generate the bundled synthetic cohort")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_demo)
     return parser
 
@@ -167,15 +159,20 @@ def _marks_for_all(cohort: Cohort, semester: str) -> dict[int, float]:
     return marks
 
 
+def _communities(cohort: Cohort, cfg: RunConfig) -> tuple[Partition, ModularityCurve]:
+    """Girvan-Newman on the configured view; the partition with the best Q."""
+    from .community import best_partition, girvan_newman
+
+    view = symmetrize(cohort.network, cfg.symmetrize)
+    return best_partition(view, girvan_newman(view, stop_at_k=cfg.k_max), cfg.k_max)
+
+
 def _partition_for(cohort: Cohort, args: argparse.Namespace, cfg: RunConfig) -> Partition:
     if args.partition is not None:
         p = iof.parse_partition_csv(args.partition.read_bytes())
         iof.check_coverage(cohort.network, p, None)
         return p
-    view = symmetrize(cohort.network, cfg.symmetrize)
-    trace = girvan_newman(view, stop_at_k=cfg.k_max)
-    best, _ = best_partition(view, trace, cfg.k_max)
-    return best
+    return _communities(cohort, cfg)[0]
 
 
 def _write(path: Path, data: bytes | str) -> Path:
@@ -204,14 +201,14 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     net = cohort.network
     out = cfg.out_dir
     if args.communities:
-        view = symmetrize(net, cfg.symmetrize)
-        trace = girvan_newman(view, stop_at_k=cfg.k_max)
-        best, curve = best_partition(view, trace, cfg.k_max)
+        best, curve = _communities(cohort, cfg)
         _write(out / "modularity_curve.csv", iof.curve_csv(curve))
         _write(out / "partition.csv", iof.partition_csv(best))
         print(f"best partition: k={best.k}, Q={best.q:.4f} "
               f"(wrote {out / 'modularity_curve.csv'}, {out / 'partition.csv'})")
         return EXIT_OK
+
+    from .centrality import betweenness, closeness, degree, eigenvector, top_k
 
     measure = Measure(args.measure)
     if measure is Measure.BETWEENNESS:
@@ -238,6 +235,8 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .stats import cluster_performance
+
     cohort = _load_cohort(args.cohort)
     semester = _resolve_semester(cohort, args.semester)
     marks = _marks_for_all(cohort, semester)
@@ -252,6 +251,8 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .intervention import plan_intervention, predicted_group_profile
+
     cohort = _load_cohort(args.cohort)
     semester = _resolve_semester(cohort, args.semester)
     marks = _marks_for_all(cohort, semester)
@@ -267,6 +268,8 @@ def _cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .stats import compare_groups, summarize
+
     if len(args.cohorts) > 2:
         raise UsageError("report takes one or two cohort files")
     cohorts = [_load_cohort(p) for p in args.cohorts]
@@ -313,7 +316,9 @@ def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
-    cohort, planted = generate_demo_cohort(args.seed)
+    from .demo import DEFAULT_SEED, generate_demo_cohort
+
+    cohort, planted = generate_demo_cohort(DEFAULT_SEED if args.seed is None else args.seed)
     out = cfg.out_dir
     written = [
         _write(out / "roster.csv", iof.export_roster(cohort.students)),

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .errors import UsageError
-from .intervention import InterventionPolicy
+from .errors import DataError, UsageError
+from .io_formats import _text
 from .model import SymmetrizeRule
+
+if TYPE_CHECKING:
+    from .intervention import InterventionPolicy
 
 OUT_DIR_ENV = "COHORTNET_OUT_DIR"
 
@@ -37,6 +41,8 @@ class RunConfig:
             )
 
     def policy(self) -> InterventionPolicy:
+        from .intervention import InterventionPolicy
+
         return InterventionPolicy(
             high_t=self.high_t,
             low_t=self.low_t,
@@ -69,9 +75,16 @@ def _parse_bool(text: str) -> bool:
 
 
 def load_config_file(path: Path) -> dict[str, object]:
-    """Parse a plain `key=value` file; `#` lines and blanks are skipped."""
+    """Parse a plain `key=value` file; `#` lines and blanks are skipped.
+
+    A file that is not UTF-8 is a DataError naming the path, line and byte offset.
+    """
+    try:
+        text = _text(path.read_bytes())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

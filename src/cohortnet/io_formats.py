@@ -11,12 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import xml.etree.ElementTree as ET
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .centrality import CentralityScores, Measure
-from .community import ModularityCurve, Partition
 from .errors import (
     BadHeader,
     DataError,
@@ -31,9 +29,13 @@ from .errors import (
     UnassignedNode,
     UnknownNodeInPartition,
 )
-from .intervention import AssignmentPlan, GroupProfile, Role
 from .model import Cohort, FriendshipNetwork, Gender, Student, make_cohort
-from .stats import DistributionSummary, GroupComparison
+
+if TYPE_CHECKING:
+    from .centrality import CentralityScores
+    from .community import ModularityCurve, Partition
+    from .intervention import AssignmentPlan, GroupProfile
+    from .stats import DistributionSummary, GroupComparison
 
 # Cluster colors, indexed by cluster id modulo the palette size. The first
 # entries follow the usual sociogram conventions for this kind of figure.
@@ -60,6 +62,15 @@ def _text(data: bytes | str) -> str:
         raise DataError(
             f"byte offset {exc.start}: 0x{data[exc.start]:02x} is not valid UTF-8", line=line
         ) from None
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> bytes:
+    """One CSV table: UTF-8, LF line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def _rows(data: bytes | str) -> list[tuple[int, list[str]]]:
@@ -134,17 +145,14 @@ def parse_roster(data: bytes | str) -> list[Student]:
 
 def export_roster(students: Sequence[Student]) -> bytes:
     semesters = sorted({sem for s in students for sem in s.marks})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "gender"] + [MARK_COLUMN_PREFIX + s for s in semesters])
-    for student in sorted(students, key=lambda s: s.id):
-        row = [str(student.id), student.gender.value]
-        row += [
-            repr(student.marks[sem]) if sem in student.marks else ""
-            for sem in semesters
-        ]
-        writer.writerow(row)
-    return buf.getvalue().encode("utf-8")
+    return _csv(
+        ["id", "gender"] + [MARK_COLUMN_PREFIX + s for s in semesters],
+        (
+            [str(student.id), student.gender.value]
+            + [repr(student.marks[sem]) if sem in student.marks else "" for sem in semesters]
+            for student in sorted(students, key=lambda s: s.id)
+        ),
+    )
 
 
 # -- edge list ----------------------------------------------------------------
@@ -173,12 +181,7 @@ def parse_edges(data: bytes | str) -> list[tuple[int, int]]:
 
 
 def export_edges(net: FriendshipNetwork) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "target"])
-    for src, tgt in sorted(net.edges):
-        writer.writerow([str(src), str(tgt)])
-    return buf.getvalue().encode("utf-8")
+    return _csv(["source", "target"], ([str(src), str(tgt)] for src, tgt in sorted(net.edges)))
 
 
 # -- adjacency matrix ---------------------------------------------------------
@@ -224,13 +227,11 @@ def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
 
 def export_adjacency(net: FriendshipNetwork) -> bytes:
     ids = sorted(net.nodes)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + [str(i) for i in ids])
+    rows = []
     for src in ids:
         out = net.out_adjacency[src]
-        writer.writerow([str(src)] + ["1" if tgt in out else "0" for tgt in ids])
-    return buf.getvalue().encode("utf-8")
+        rows.append([str(src)] + ["1" if tgt in out else "0" for tgt in ids])
+    return _csv([""] + [str(i) for i in ids], rows)
 
 
 # -- cohort container ---------------------------------------------------------
@@ -355,6 +356,8 @@ def _export_dot(net, genders, marks, partition) -> bytes:
 
 
 def _export_graphml(net, genders, marks, partition) -> bytes:
+    import xml.etree.ElementTree as ET
+
     root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
     keys = []
     if genders is not None:
@@ -390,43 +393,34 @@ def _num(x: float) -> str:
 
 
 def scores_csv(scores: CentralityScores) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if scores.measure is Measure.DEGREE:
-        assert scores.in_scores is not None and scores.out_scores is not None
-        writer.writerow(["node", "in_degree", "out_degree", "total"])
-        for v in sorted(scores.scores):
-            writer.writerow(
-                [str(v), str(int(scores.in_scores[v])), str(int(scores.out_scores[v])),
-                 str(int(scores.scores[v]))]
-            )
-    else:
-        writer.writerow(["node", "score"])
-        for v in sorted(scores.scores):
-            writer.writerow([str(v), _num(scores.scores[v])])
-    return buf.getvalue().encode("utf-8")
+    """Degree scores (the only ones with in/out parts) get one column per part."""
+    ins, outs, total = scores.in_scores, scores.out_scores, scores.scores
+    if ins is not None:
+        assert outs is not None
+        return _csv(
+            ["node", "in_degree", "out_degree", "total"],
+            ([str(v), str(int(ins[v])), str(int(outs[v])), str(int(total[v]))]
+             for v in sorted(total)),
+        )
+    return _csv(["node", "score"], ([str(v), _num(total[v])] for v in sorted(total)))
 
 
 def representatives_csv(ranked: Sequence[int], scores: Mapping[int, float]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "node", "score"])
-    for rank, node in enumerate(ranked, start=1):
-        writer.writerow([str(rank), str(node), _num(scores[node])])
-    return buf.getvalue().encode("utf-8")
+    return _csv(
+        ["rank", "node", "score"],
+        ([str(rank), str(node), _num(scores[node])] for rank, node in enumerate(ranked, start=1)),
+    )
 
 
 def partition_csv(p: Partition) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node", "cluster"])
-    for node in sorted(p.assignment):
-        writer.writerow([str(node), str(p.assignment[node])])
-    return buf.getvalue().encode("utf-8")
+    a = p.assignment
+    return _csv(["node", "cluster"], ([str(node), str(a[node])] for node in sorted(a)))
 
 
 def parse_partition_csv(data: bytes | str) -> Partition:
     """Read a node,cluster table; cluster labels are renumbered densely."""
+    from .community import Partition
+
     rows = _rows(data)
     if not rows:
         raise BadHeader("empty partition file", line=1)
@@ -450,38 +444,29 @@ def parse_partition_csv(data: bytes | str) -> Partition:
 
 
 def curve_csv(curve: ModularityCurve) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "Q"])
-    for k, q in curve.points:
-        writer.writerow([str(k), _num(q)])
-    return buf.getvalue().encode("utf-8")
+    return _csv(["k", "Q"], ([str(k), _num(q)] for k, q in curve.points))
 
 
 def clusters_csv(perfs: Iterable) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cluster", "size", "mean_mark", "class"])
-    for c in perfs:
-        writer.writerow([str(c.cluster), str(len(c.members)), _num(c.mean_mark), c.perf.value])
-    return buf.getvalue().encode("utf-8")
+    return _csv(
+        ["cluster", "size", "mean_mark", "class"],
+        ([str(c.cluster), str(len(c.members)), _num(c.mean_mark), c.perf.value] for c in perfs),
+    )
 
 
 def plan_csv(plan: AssignmentPlan) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["student", "group", "role"])
-    table = []
-    for g in plan.groups:
-        table.extend((m, g.index, g.roles[m].value) for m in g.members)
-    for student, group, role in sorted(table):
-        writer.writerow([str(student), str(group), role])
-    return buf.getvalue().encode("utf-8")
+    table = sorted((m, g.index, g.roles[m].value) for g in plan.groups for m in g.members)
+    return _csv(
+        ["student", "group", "role"],
+        ([str(student), str(group), role] for student, group, role in table),
+    )
 
 
 def plan_report(
     plan: AssignmentPlan, profiles: Sequence[GroupProfile], semester: str
 ) -> str:
+    from .intervention import Role
+
     total = sum(len(g.members) for g in plan.groups)
     lines = [f"assignment plan: {len(plan.groups)} groups, {total} students"]
     by_index = {p.index: p for p in profiles}
@@ -505,25 +490,20 @@ def plan_report(
 
 
 def summary_csv(s: DistributionSummary) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "mean", "median", "min", "max", "stddev", "skewness", "shape"])
-    writer.writerow([
-        str(s.n), _num(s.mean), _num(s.median), _num(s.minimum), _num(s.maximum),
-        _num(s.stddev) if s.stddev is not None else "",
-        _num(s.skew) if s.skew is not None else "",
-        s.shape.value if s.shape is not None else "",
-    ])
-    return buf.getvalue().encode("utf-8")
+    return _csv(
+        ["n", "mean", "median", "min", "max", "stddev", "skewness", "shape"],
+        [[
+            str(s.n), _num(s.mean), _num(s.median), _num(s.minimum), _num(s.maximum),
+            _num(s.stddev) if s.stddev is not None else "",
+            _num(s.skew) if s.skew is not None else "",
+            s.shape.value if s.shape is not None else "",
+        ]],
+    )
 
 
 def histogram_csv(s: DistributionSummary) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_lower", "count"])
-    for lower, count in s.histogram:
-        writer.writerow([_num(lower), str(count)])
-    return buf.getvalue().encode("utf-8")
+    return _csv(["bin_lower", "count"],
+                ([_num(lower), str(count)] for lower, count in s.histogram))
 
 
 def _summary_block(title: str, s: DistributionSummary) -> list[str]:

@@ -41,6 +41,22 @@ class SymmetrizeRule(str, Enum):
     INTERSECTION = "intersection"
 
 
+class Measure(str, Enum):
+    """Node centrality measures (computed in ``centrality``)."""
+
+    DEGREE = "degree"
+    BETWEENNESS = "betweenness"
+    CLOSENESS = "closeness"
+    EIGENVECTOR = "eigenvector"
+
+
+class Mode(str, Enum):
+    """Whether betweenness counts directed or undirected shortest paths."""
+
+    DIRECTED = "directed"
+    UNDIRECTED = "undirected"
+
+
 def _check_mark(value: float, context: str) -> None:
     if not 0.0 <= value <= 100.0:
         raise InvalidMark(f"{context}: mark {value!r} outside [0, 100]")

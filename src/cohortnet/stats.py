@@ -14,6 +14,7 @@ import statistics
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadThresholds,
@@ -24,7 +25,9 @@ from .errors import (
     TooFewSamples,
     ZeroVariance,
 )
-from .community import Partition
+
+if TYPE_CHECKING:
+    from .community import Partition
 
 SKEW_SHAPE_THRESHOLD = 0.5
 

@@ -85,6 +85,14 @@ class TestInputHardening:
         err = capsys.readouterr().err
         assert "line 2" in err and "byte offset 22" in err
 
+    def test_non_utf8_config_exit_2_with_path_and_offset(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# thresholds\nhigh_t=\xff\n")
+        assert main(["report", str(path_cohort(tmp_path)), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "line 2" in err and "byte offset 20" in err
+
     def test_non_utf8_cohort_exit_2(self, tmp_path):
         (tmp_path / "c.json").write_bytes(b'{"label": "\xff"}')
         assert main(["analyze", str(tmp_path / "c.json"), "--measure", "degree",
