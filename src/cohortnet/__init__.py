@@ -21,8 +21,8 @@ _EXPORTS = {
         "eigenvector", "rank_representatives",
     ),
     "community": (
-        "DivisionStep", "DivisionTrace", "ModularityCurve", "Partition", "best_partition",
-        "edge_betweenness", "girvan_newman", "modularity", "partition_from_blocks",
+        "DivisionStep", "DivisionTrace", "ModularityCurve", "best_partition",
+        "edge_betweenness", "girvan_newman", "modularity",
     ),
     "config": ("RunConfig",),
     "demo": ("generate_demo_cohort",),
@@ -31,9 +31,9 @@ _EXPORTS = {
         "plan_intervention", "predicted_group_profile",
     ),
     "model": (
-        "Cohort", "FriendshipNetwork", "Gender", "Student", "SymmetrizeRule", "UndirectedView",
-        "build_network", "make_cohort", "pendant_vertices", "reciprocity_rate", "symmetrize",
-        "weak_components",
+        "Cohort", "FriendshipNetwork", "Gender", "Partition", "Student", "SymmetrizeRule",
+        "UndirectedView", "build_network", "make_cohort", "partition_from_blocks",
+        "pendant_vertices", "reciprocity_rate", "symmetrize", "weak_components",
     ),
     "stats": (
         "ClusterPerformance", "DistributionSummary", "GroupComparison", "PerfClass", "Shape",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .errors import DisconnectedGraph, EmptyEdgeSet, KTooLarge, NoConvergence
@@ -51,7 +51,7 @@ class CentralityScores:
 
 
 def _index_adjacency(
-    order: list[int], adjacency: Mapping[int, frozenset[int]]
+    order: list[int], adjacency: Mapping[int, Iterable[int]]
 ) -> list[list[int]]:
     idx = {v: i for i, v in enumerate(order)}
     return [sorted(idx[w] for w in adjacency[v]) for v in order]
@@ -114,7 +114,7 @@ def betweenness(net: FriendshipNetwork, mode: Mode = Mode.DIRECTED) -> Centralit
         nbrs = _index_adjacency(order, net.out_adjacency)
         raw = _brandes(order, nbrs)
     else:
-        nbrs = _index_adjacency(order, net.union_adjacency)
+        nbrs = _index_adjacency(order, symmetrize(net, SymmetrizeRule.UNION).adjacency)
         # summing over all sources counts each unordered pair twice
         raw = [x / 2.0 for x in _brandes(order, nbrs)]
     return CentralityScores(
@@ -202,7 +202,9 @@ def eigenvector(net: FriendshipNetwork | UndirectedView) -> CentralityScores:
 
 def degree(net: FriendshipNetwork) -> CentralityScores:
     """In-, out- and total degree per node (directed counting)."""
-    ins = {v: float(len(net.in_adjacency[v])) for v in net.nodes}
+    ins = dict.fromkeys(net.nodes, 0.0)
+    for _, tgt in net.edges:
+        ins[tgt] += 1.0
     outs = {v: float(len(net.out_adjacency[v])) for v in net.nodes}
     total = {v: ins[v] + outs[v] for v in net.nodes}
     return CentralityScores(

@@ -18,10 +18,10 @@ from typing import TYPE_CHECKING
 from . import io_formats as iof
 from .config import OUT_DIR_ENV, RunConfig, build_config, load_config_file
 from .errors import AnalysisError, DataError, MissingMark, UsageError
-from .model import Cohort, Measure, Mode, SymmetrizeRule, make_cohort, symmetrize
+from .model import Cohort, Measure, Mode, Partition, SymmetrizeRule, make_cohort, symmetrize
 
 if TYPE_CHECKING:
-    from .community import ModularityCurve, Partition
+    from .community import ModularityCurve
 
 # Each command imports the analysis modules it runs inside its own function,
 # so a process pays only for the code its command needs.

@@ -13,45 +13,15 @@ the fraction of edge endpoints attached to c.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .centrality import _shortest_path_dag
-from .errors import DataError, EmptyEdgeSet, EmptyTrace, UnassignedNode
-from .model import UndirectedView, _components
+from .centrality import _index_adjacency, _shortest_path_dag
+from .errors import EmptyEdgeSet, EmptyTrace, UnassignedNode
+# Partition and partition_from_blocks are re-exported from here
+from .model import Partition, UndirectedView, _components, partition_from_blocks
 
 DEFAULT_K_MAX = 15
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Node -> cluster assignment with dense cluster ids 0..k-1."""
-
-    assignment: dict[int, int]
-    k: int
-    q: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.assignment:
-            raise DataError("a partition needs at least one node")
-        used = set(self.assignment.values())
-        if used != set(range(self.k)):
-            raise DataError(
-                f"cluster ids must be exactly 0..{self.k - 1}, got {sorted(used)}"
-            )
-
-    def clusters(self) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in range(self.k)]
-        for node, cid in self.assignment.items():
-            out[cid].add(node)
-        return out
-
-
-def partition_from_blocks(blocks: list[set[int]], q: float | None = None) -> Partition:
-    """Number blocks by ascending smallest member so ids are reproducible."""
-    ordered = sorted(blocks, key=min)
-    assignment = {node: cid for cid, block in enumerate(ordered) for node in block}
-    return Partition(assignment=assignment, k=len(ordered), q=q)
 
 
 @dataclass(frozen=True)
@@ -79,21 +49,18 @@ class ModularityCurve:
 
 def edge_betweenness(view: UndirectedView) -> dict[tuple[int, int], float]:
     """Geodesic betweenness per edge, each unordered node pair counted once."""
-    members = sorted(view.nodes)
-    adjacency = {v: view.adjacency[v] for v in members}
-    return _edge_betweenness_subset(members, adjacency)
+    return _edge_betweenness_subset(sorted(view.nodes), view.adjacency)
 
 
 def _edge_betweenness_subset(
-    members: list[int], adjacency: Mapping[int, frozenset[int] | set[int]]
+    members: list[int], adjacency: Mapping[int, Iterable[int]]
 ) -> dict[tuple[int, int], float]:
     """Brandes-style edge accumulation restricted to ``members``.
 
     ``members`` must be closed under ``adjacency`` (e.g. a connected
     component, or a whole view).
     """
-    idx = {v: i for i, v in enumerate(members)}
-    nbrs = [sorted(idx[w] for w in adjacency[v]) for v in members]
+    nbrs = _index_adjacency(members, adjacency)
     n = len(members)
     eb: dict[tuple[int, int], float] = {}
     for i, row in enumerate(nbrs):
@@ -155,13 +122,9 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
     blocks = _components(view.nodes, adjacency)
     initial = scored(blocks)
 
-    comp_members: dict[int, list[int]] = {}
-    # per-component cache: (edge betweenness map, max value, tie-broken edge)
-    eb_cache: dict[int, tuple[dict[tuple[int, int], float], float, tuple[int, int]]] = {}
-    next_cid = 0
-    for block in blocks:
-        comp_members[next_cid] = sorted(block)
-        next_cid += 1
+    comp_members = dict(enumerate(sorted(block) for block in blocks))
+    # per-component cache: (max edge betweenness, tie-broken edge)
+    eb_cache: dict[int, tuple[float, tuple[int, int]]] = {}
 
     def refresh(cid: int) -> None:
         members = comp_members[cid]
@@ -170,44 +133,34 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
             return
         eb = _edge_betweenness_subset(members, adjacency)
         best_edge = min(eb, key=lambda e: (-eb[e], e))
-        eb_cache[cid] = (eb, eb[best_edge], best_edge)
+        eb_cache[cid] = (eb[best_edge], best_edge)
 
-    for cid in list(comp_members):
+    for cid in comp_members:
         refresh(cid)
 
     steps: list[DivisionStep] = []
-    count = len(comp_members)
+    count = len(comp_members)  # component ids are 0..count-1
     if stop_at_k is not None and count >= stop_at_k:
         return DivisionTrace(initial=initial, steps=())
 
     while eb_cache:
-        target_cid, (_, _, edge) = max(
-            eb_cache.items(), key=lambda item: (item[1][1], (-item[1][2][0], -item[1][2][1]))
+        # (value, -u, -v) is unique per edge, so the component ids never decide
+        target_cid, (_, edge) = max(
+            eb_cache.items(), key=lambda item: (item[1][0], -item[1][1][0], -item[1][1][1])
         )
         u, v = edge
         adjacency[u].discard(v)
         adjacency[v].discard(u)
 
         # does the component survive the removal?
-        members = comp_members[target_cid]
-        reached = {u}
-        frontier = [u]
-        while frontier:
-            x = frontier.pop()
-            for w in adjacency[x]:
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
+        parts = _components(comp_members[target_cid], adjacency)
         snapshot: Partition | None = None
-        if v in reached:
+        if len(parts) == 1:
             refresh(target_cid)
         else:
-            rest = [x for x in members if x not in reached]
-            comp_members[target_cid] = sorted(reached)
-            comp_members[next_cid] = rest
+            comp_members[target_cid], comp_members[count] = (sorted(p) for p in parts)
             refresh(target_cid)
-            refresh(next_cid)
-            next_cid += 1
+            refresh(count)
             count += 1
             snapshot = scored([set(ms) for ms in comp_members.values()])
         steps.append(DivisionStep(removed_edge=edge, component_count=count, partition=snapshot))
@@ -229,10 +182,7 @@ def best_partition(
                 f"more than k_max={k_max}"
             )
         raise EmptyTrace("the trace has no partition snapshots (edgeless view)")
-    best = snaps[0]
-    for p in snaps[1:]:  # snapshots come in ascending k, so strict > keeps ties small
-        assert p.q is not None and best.q is not None
-        if p.q > best.q:
-            best = p
+    # snapshots come in ascending k and max keeps the first maximum, so ties go to the smaller k
+    best = max(snaps, key=lambda p: p.q)  # type: ignore[arg-type, return-value]
     curve = ModularityCurve(points=tuple((p.k, p.q) for p in snaps))  # type: ignore[misc]
     return best, curve

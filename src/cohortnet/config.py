@@ -52,19 +52,6 @@ class RunConfig:
         )
 
 
-_PARSERS = {
-    "high_t": float,
-    "low_t": float,
-    "k_max": int,
-    "bin_width": int,
-    "min_group": int,
-    "max_group": int,
-    "keep_low_subgroups": lambda s: _parse_bool(s),
-    "symmetrize": SymmetrizeRule,
-    "out_dir": Path,
-}
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "1"):
@@ -72,6 +59,13 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "no", "0"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+# one parser per field, the type of its default (bool("false") would be True)
+_PARSERS = {
+    f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+    for f in fields(RunConfig)
+}
 
 
 def load_config_file(path: Path) -> dict[str, object]:

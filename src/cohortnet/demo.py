@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .community import Partition
-from .model import Cohort, Gender, Student, make_cohort
+from .model import Cohort, Gender, Partition, Student, make_cohort
 
 DEFAULT_SEED = 7
 

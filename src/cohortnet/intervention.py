@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import BadThresholds, DataError, MissingMark, NoHighCluster
-from .community import Partition
-from .model import FriendshipNetwork, SymmetrizeRule, symmetrize
+from .model import FriendshipNetwork, Partition, SymmetrizeRule, symmetrize
 from .stats import PerfClass, cluster_performance
 
 

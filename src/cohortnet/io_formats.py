@@ -29,11 +29,11 @@ from .errors import (
     UnassignedNode,
     UnknownNodeInPartition,
 )
-from .model import Cohort, FriendshipNetwork, Gender, Student, make_cohort
+from .model import Cohort, FriendshipNetwork, Gender, Partition, Student, make_cohort
 
 if TYPE_CHECKING:
     from .centrality import CentralityScores
-    from .community import ModularityCurve, Partition
+    from .community import ModularityCurve
     from .intervention import AssignmentPlan, GroupProfile
     from .stats import DistributionSummary, GroupComparison
 
@@ -80,13 +80,12 @@ def _rows(data: bytes | str) -> list[tuple[int, list[str]]]:
 
 
 def _parse_id(cell: str, line: int) -> int:
-    try:
-        value = int(cell)
-    except ValueError:
-        raise InvalidId(f"id {cell!r} is not an integer", line=line) from None
-    if value < 0:
-        raise InvalidId(f"id {value} must be non-negative", line=line)
-    return value
+    """ASCII digits only: int() would also take "1_0", "+4", " 3" and non-ASCII digits."""
+    if not (cell.isascii() and cell.removeprefix("-").isdigit()):
+        raise InvalidId(f"id {cell!r} is not an integer", line=line)
+    if cell.startswith("-"):
+        raise InvalidId(f"id {cell} must be non-negative", line=line)
+    return int(cell)
 
 
 # -- roster -------------------------------------------------------------------
@@ -253,10 +252,20 @@ def save_cohort(cohort: Cohort) -> bytes:
 
 
 def _json_id(value: object) -> int:
-    """An id from a cohort file; bools and fractional numbers are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An id from a cohort file; strings, bools and fractional numbers are refused."""
+    if isinstance(value, (str, bool)) or (isinstance(value, float) and not value.is_integer()):
         raise InvalidId(f"cohort file: id {value!r} is not an integer")
     return int(value)  # type: ignore[call-overload]
+
+
+def _json_marks(value: object) -> dict[str, float]:
+    """Marks from a cohort file: an object of numbers, so none is rewritten on save."""
+    if not isinstance(value, dict):
+        raise DataError(f"cohort file: marks {value!r} is not an object")
+    for mark in value.values():
+        if isinstance(mark, bool) or not isinstance(mark, (int, float)):
+            raise InvalidMark(f"cohort file: mark {mark!r} is not a number")
+    return {k: float(v) for k, v in value.items()}
 
 
 def load_cohort(data: bytes | str) -> Cohort:
@@ -270,11 +279,11 @@ def load_cohort(data: bytes | str) -> Cohort:
             raise DataError(f"cohort file: label {label!r} is not a string")
         students = [
             Student(id=_json_id(s["id"]), gender=Gender(s["gender"]),
-                    marks={str(k): float(v) for k, v in s.get("marks", {}).items()})
+                    marks=_json_marks(s.get("marks", {})))
             for s in doc["students"]
         ]
         edges = [(_json_id(s), _json_id(t)) for s, t in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a 400-digit mark
         raise DataError(f"cohort file has an unexpected shape: {exc}") from None
     return make_cohort(students, edges, label)
 
@@ -419,8 +428,6 @@ def partition_csv(p: Partition) -> bytes:
 
 def parse_partition_csv(data: bytes | str) -> Partition:
     """Read a node,cluster table; cluster labels are renumbered densely."""
-    from .community import Partition
-
     rows = _rows(data)
     if not rows:
         raise BadHeader("empty partition file", line=1)

@@ -16,6 +16,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import (
+    DataError,
     DuplicateEdge,
     DuplicateId,
     EmptyEdgeSet,
@@ -96,21 +97,6 @@ class FriendshipNetwork:
             nbrs[src].add(tgt)
         return {v: frozenset(n) for v, n in nbrs.items()}
 
-    @cached_property
-    def in_adjacency(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for src, tgt in self.edges:
-            nbrs[tgt].add(src)
-        return {v: frozenset(n) for v, n in nbrs.items()}
-
-    @cached_property
-    def union_adjacency(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for src, tgt in self.edges:
-            nbrs[src].add(tgt)
-            nbrs[tgt].add(src)
-        return {v: frozenset(n) for v, n in nbrs.items()}
-
 
 @dataclass(frozen=True)
 class UndirectedView:
@@ -127,9 +113,6 @@ class UndirectedView:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return {v: frozenset(n) for v, n in nbrs.items()}
-
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
 
     def induced(self, keep: Iterable[int]) -> UndirectedView:
         """Subview on ``keep``; drops edges with an endpoint outside."""
@@ -160,6 +143,37 @@ def _components(nodes: Iterable[int], adjacency: Mapping[int, Iterable[int]]) ->
         comps.append(comp)
     comps.sort(key=lambda c: (-len(c), min(c)))
     return comps
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Node -> cluster assignment with dense cluster ids 0..k-1."""
+
+    assignment: dict[int, int]
+    k: int
+    q: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.assignment:
+            raise DataError("a partition needs at least one node")
+        used = set(self.assignment.values())
+        if used != set(range(self.k)):
+            raise DataError(
+                f"cluster ids must be exactly 0..{self.k - 1}, got {sorted(used)}"
+            )
+
+    def clusters(self) -> list[set[int]]:
+        out: list[set[int]] = [set() for _ in range(self.k)]
+        for node, cid in self.assignment.items():
+            out[cid].add(node)
+        return out
+
+
+def partition_from_blocks(blocks: list[set[int]], q: float | None = None) -> Partition:
+    """Number blocks by ascending smallest member so ids are reproducible."""
+    ordered = sorted(blocks, key=min)
+    assignment = {node: cid for cid, block in enumerate(ordered) for node in block}
+    return Partition(assignment=assignment, k=len(ordered), q=q)
 
 
 def build_network(
@@ -213,12 +227,13 @@ def symmetrize(net: FriendshipNetwork, rule: SymmetrizeRule) -> UndirectedView:
 
 def weak_components(net: FriendshipNetwork) -> list[set[int]]:
     """Weakly connected components, largest first, ties by smallest member id."""
-    return _components(net.nodes, net.union_adjacency)
+    return symmetrize(net, SymmetrizeRule.UNION).components()
 
 
 def pendant_vertices(net: FriendshipNetwork) -> set[int]:
     """Nodes with exactly one neighbour in the union undirected view."""
-    return {v for v, nbrs in net.union_adjacency.items() if len(nbrs) == 1}
+    adjacency = symmetrize(net, SymmetrizeRule.UNION).adjacency
+    return {v for v, nbrs in adjacency.items() if len(nbrs) == 1}
 
 
 def reciprocity_rate(net: FriendshipNetwork) -> float:

@@ -14,7 +14,6 @@ import statistics
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .errors import (
     BadThresholds,
@@ -25,9 +24,7 @@ from .errors import (
     TooFewSamples,
     ZeroVariance,
 )
-
-if TYPE_CHECKING:
-    from .community import Partition
+from .model import Partition
 
 SKEW_SHAPE_THRESHOLD = 0.5
 

@@ -4,7 +4,9 @@ Betweenness oracles enumerate every simple path between a node pair and
 keep the shortest ones; modularity is evaluated straight from the edge
 list in exact rational arithmetic. These deliberately share no code with
 the fast paths they check. The frozen references at the end are copies of
-earlier library loops, kept so optimized code can be held to exact equality.
+earlier library loops, kept so optimized code can be held to exact equality;
+the division-loop copy builds the library's result types so whole traces
+compare with ==.
 """
 
 from __future__ import annotations
@@ -13,6 +15,16 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+
+from cohortnet import (
+    DivisionStep,
+    DivisionTrace,
+    ModularityCurve,
+    Partition,
+    modularity,
+    partition_from_blocks,
+)
+from cohortnet.errors import EmptyTrace
 
 
 def enumerate_geodesics(nodes, succ, s, t):
@@ -107,11 +119,17 @@ def modularity_brute(undirected_edges, assignment):
 
 
 def skewness_brute(xs):
-    """Adjusted Fisher-Pearson g1 written out longhand."""
+    """Adjusted Fisher-Pearson g1 written out longhand.
+
+    Deviations are divided by the largest one first: g1 does not change under
+    scaling, and squaring a raw deviation such as 1e-172 underflows to 0.
+    """
     n = len(xs)
     mean = sum(xs) / n
-    s = math.sqrt(sum((x - mean) ** 2 for x in xs) / (n - 1))
-    return n / ((n - 1) * (n - 2)) * sum(((x - mean) / s) ** 3 for x in xs)
+    scale = max(abs(x - mean) for x in xs)
+    ds = [(x - mean) / scale for x in xs]
+    s = math.sqrt(sum(d ** 2 for d in ds) / (n - 1))
+    return n / ((n - 1) * (n - 2)) * sum((d / s) ** 3 for d in ds)
 
 
 def random_directed_graph(rng: random.Random, max_nodes=7, edge_prob=0.35):
@@ -277,3 +295,117 @@ def planted_community_edges(seed, n=400, intra_prob=0.55, reciprocal_prob=0.6):
         a, b = rng.sample(range(k), 2)
         edges.add((rng.choice(communities[a]), rng.choice(communities[b])))
     return list(range(n)), sorted(edges)
+
+
+def components_ref(nodes, adjacency):
+    seen: set[int] = set()
+    comps: list[set[int]] = []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in adjacency.get(v, ()):
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        comps.append(comp)
+    comps.sort(key=lambda c: (-len(c), min(c)))
+    return comps
+
+
+def girvan_newman_ref(view, *, stop_at_k=None):
+    """The division loop with its own per-component BFS and full eb cache."""
+    if not view.edges:
+        return DivisionTrace(initial=None, steps=())
+
+    def scored(blocks: list[set[int]]) -> Partition:
+        p = partition_from_blocks(blocks)
+        return Partition(assignment=p.assignment, k=p.k, q=modularity(view, p))
+
+    adjacency: dict[int, set[int]] = {v: set(view.adjacency[v]) for v in view.nodes}
+    blocks = components_ref(view.nodes, adjacency)
+    initial = scored(blocks)
+
+    comp_members: dict[int, list[int]] = {}
+    # per-component cache: (edge betweenness map, max value, tie-broken edge)
+    eb_cache: dict[int, tuple[dict[tuple[int, int], float], float, tuple[int, int]]] = {}
+    next_cid = 0
+    for block in blocks:
+        comp_members[next_cid] = sorted(block)
+        next_cid += 1
+
+    def refresh(cid: int) -> None:
+        members = comp_members[cid]
+        if not any(adjacency[v] for v in members):
+            eb_cache.pop(cid, None)
+            return
+        eb = edge_betweenness_subset_ref(members, adjacency)
+        best_edge = min(eb, key=lambda e: (-eb[e], e))
+        eb_cache[cid] = (eb, eb[best_edge], best_edge)
+
+    for cid in list(comp_members):
+        refresh(cid)
+
+    steps: list[DivisionStep] = []
+    count = len(comp_members)
+    if stop_at_k is not None and count >= stop_at_k:
+        return DivisionTrace(initial=initial, steps=())
+
+    while eb_cache:
+        target_cid, (_, _, edge) = max(
+            eb_cache.items(), key=lambda item: (item[1][1], (-item[1][2][0], -item[1][2][1]))
+        )
+        u, v = edge
+        adjacency[u].discard(v)
+        adjacency[v].discard(u)
+
+        # does the component survive the removal?
+        members = comp_members[target_cid]
+        reached = {u}
+        frontier = [u]
+        while frontier:
+            x = frontier.pop()
+            for w in adjacency[x]:
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
+        snapshot: Partition | None = None
+        if v in reached:
+            refresh(target_cid)
+        else:
+            rest = [x for x in members if x not in reached]
+            comp_members[target_cid] = sorted(reached)
+            comp_members[next_cid] = rest
+            refresh(target_cid)
+            refresh(next_cid)
+            next_cid += 1
+            count += 1
+            snapshot = scored([set(ms) for ms in comp_members.values()])
+        steps.append(DivisionStep(removed_edge=edge, component_count=count, partition=snapshot))
+        if stop_at_k is not None and count >= stop_at_k:
+            break
+    return DivisionTrace(initial=initial, steps=tuple(steps))
+
+
+def best_partition_ref(view, trace, k_max=15):
+    """Highest-Q snapshot with k <= k_max; ties go to the smallest k."""
+    all_snaps = trace.snapshots()
+    snaps = [p for p in all_snaps if p.k <= k_max]
+    if not snaps:
+        if all_snaps:
+            raise EmptyTrace(
+                f"the undivided view already has {all_snaps[0].k} components, "
+                f"more than k_max={k_max}"
+            )
+        raise EmptyTrace("the trace has no partition snapshots (edgeless view)")
+    best = snaps[0]
+    for p in snaps[1:]:  # snapshots come in ascending k, so strict > keeps ties small
+        assert p.q is not None and best.q is not None
+        if p.q > best.q:
+            best = p
+    curve = ModularityCurve(points=tuple((p.k, p.q) for p in snaps))  # type: ignore[misc]
+    return best, curve

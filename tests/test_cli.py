@@ -100,6 +100,7 @@ class TestInputHardening:
 
     @pytest.mark.parametrize("student_id,edge", [
         (True, [1, 2]), (2.7, [1, 2]), (1, [True, 2]), (1, [1, 2.5]), (1, [1, 1e999]),
+        ("1", [1, 2]), (1, ["1", 2]),
     ])
     def test_non_integer_cohort_ids_exit_2(self, tmp_path, capsys, student_id, edge):
         doc = {"label": "t", "edges": [edge],
@@ -115,6 +116,19 @@ class TestInputHardening:
         (tmp_path / "c.json").write_text(json.dumps(doc))
         assert main(["analyze", str(tmp_path / "c.json"), "--measure", "degree",
                      "--out-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("marks,message", [
+        ([1], "is not an object"), (None, "is not an object"),
+        ({"s5": True}, "is not a number"), ({"s5": "85"}, "is not a number"),
+        ({"s5": None}, "is not a number"), ({"s5": 10**400}, "too large"),
+    ])
+    def test_marks_not_an_object_of_numbers_exit_2(self, tmp_path, capsys, marks, message):
+        doc = {"label": "t", "edges": [],
+               "students": [{"id": 1, "gender": "U", "marks": marks}]}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["report", str(tmp_path / "c.json"), "--semester", "s5",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_non_string_label_exit_2(self, tmp_path):
         doc = {"label": 5, "edges": [], "students": [{"id": 1, "gender": "U"}]}

@@ -46,6 +46,23 @@ def test_ingest_runs_without_analysis_modules(tmp_path):
     assert (tmp_path / "c.json").is_file()
 
 
+@pytest.mark.parametrize("command", [
+    ["export", "c.json", "--partition", "p.csv", "--out-dir", "out"],
+    ["classify", "c.json", "--partition", "p.csv", "--out-dir", "out"],
+])
+def test_given_partition_loads_no_graph_analysis(tmp_path, command):
+    (tmp_path / "c.json").write_text(
+        '{"label": "t", "edges": [[1, 2]], "students": ['
+        '{"id": 1, "gender": "M", "marks": {"s5": 80.0}}, '
+        '{"id": 2, "gender": "F", "marks": {"s5": 55.0}}]}'
+    )
+    (tmp_path / "p.csv").write_text("node,cluster\n1,0\n2,1\n")
+    loaded = loaded_modules(
+        f"from cohortnet.cli import main\nassert main({command!r}) == 0", tmp_path
+    )
+    assert sorted(loaded & {"cohortnet.community", "cohortnet.centrality"}) == []
+
+
 def test_every_exported_name_resolves_and_is_listed():
     listed = dir(cohortnet)
     for name in cohortnet.__all__:

@@ -19,6 +19,7 @@ from cohortnet.errors import (
     DataError,
     DuplicateId,
     InvalidGender,
+    InvalidId,
     InvalidMark,
     MissingMark,
     NonBinaryEntry,
@@ -116,6 +117,24 @@ class TestEdges:
         with pytest.raises(SelfLoopEntry) as err:
             parse_edges("source,target\n3,3\n")
         assert err.value.line == 2
+
+
+class TestIdCells:
+    """Ids are ASCII digits, the only form the exports write back unchanged."""
+
+    @pytest.mark.parametrize("cell", ["1_0", "+4", " 3", "3 ", "\u0663", "1.0", "0x1", "", "-"])
+    def test_non_ascii_digit_id_refused(self, cell):
+        with pytest.raises(InvalidId, match="is not an integer") as err:
+            parse_edges(f"source,target\n1,2\n{cell},2\n")
+        assert err.value.line == 3
+        with pytest.raises(InvalidId, match="is not an integer"):
+            parse_roster(f"id,gender\n{cell},M\n")
+        with pytest.raises(InvalidId, match="is not an integer"):
+            parse_partition_csv(f"node,cluster\n1,{cell}\n")
+
+    def test_negative_id_refused(self):
+        with pytest.raises(InvalidId, match="id -3 must be non-negative"):
+            parse_edges("source,target\n-3,2\n")
 
 
 class TestAdjacency:
