@@ -16,9 +16,14 @@ warning when the network contains non-reciprocal ties.
 from __future__ import annotations
 
 import operator
+import os
+import signal
+import threading
+from array import array
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 from .errors import DisconnectedGraph, EmptyEdgeSet, KTooLarge, NoConvergence
 from .model import (  # Measure and Mode are re-exported from here
@@ -32,6 +37,13 @@ from .model import (  # Measure and Mode are re-exported from here
 
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_CAP = 1000
+# A forked worker costs more than it saves on a block of fewer BFS sources,
+# so a pass forks only from 2 * FORK_MIN_BLOCK sources on.
+FORK_MIN_BLOCK = 64
+# Every child holds its whole block of rows until the parent reads it, so the
+# children together hold up to n_sources * width doubles. A pass whose rows
+# exceed this many bytes runs on one CPU, in memory linear in width.
+FORK_MAX_ROW_BYTES = 32 << 20
 
 DIRECTED_INPUT_WARNING = (
     "network contains non-reciprocal ties; scores were computed on the "
@@ -90,21 +102,109 @@ def _shortest_path_dag(
     return seen, sigma, preds
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; a cgroup CPU quota is not detected."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return 1
+
+
+def _fork_block(row_of: Callable[[int], list[float]], lo: int, hi: int) -> tuple[int, BinaryIO]:
+    """Fork a child that writes rows lo .. hi-1 to a pipe as raw doubles.
+
+    Returns the child's pid and the read end. The child never returns: it
+    exits 0 once every row is written, and 1 if anything fails.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            rows = array("d")
+            for s in range(lo, hi):
+                rows.fromlist(row_of(s))
+            data = memoryview(rows).cast("B")
+            while data:
+                data = data[os.write(write_fd, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _fold_sources(
+    n_sources: int, width: int, row_of: Callable[[int], list[float]]
+) -> list[float]:
+    """Entry-wise sum of ``row_of(s)`` for s = 0 .. n_sources-1, in ascending s.
+
+    Every entry receives the same additions in the same order however the
+    rows are computed, so the result is bit-for-bit that of a serial loop.
+    With more than one usable CPU, ``os.fork``, no other thread alive and
+    at most FORK_MAX_ROW_BYTES of rows, the sources are cut into contiguous
+    blocks, one per CPU but none under FORK_MIN_BLOCK sources, and every
+    block but the first goes to a forked child. The parent computes the
+    first block, then folds each child's rows in block order; rows a child
+    did not deliver it computes itself.
+    """
+    add = operator.add
+    acc = [0.0] * width
+    workers = 1
+    if (0 < 8 * n_sources * width <= FORK_MAX_ROW_BYTES and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        workers = max(1, min(_usable_cpus(), n_sources // FORK_MIN_BLOCK))
+    bounds = [n_sources * k // workers for k in range(workers + 1)]
+    blocks: list[tuple[int | None, int, int]] = [(None, bounds[0], bounds[1])]
+    live: dict[int, BinaryIO] = {}  # children not yet reaped -> read end of their pipe
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            try:
+                pid, pipe = _fork_block(row_of, lo, hi)
+                live[pid] = pipe
+            except OSError:  # no child: the parent computes this block as well
+                pid = None
+            blocks.append((pid, lo, hi))
+        row = array("d", bytes(8 * width))
+        for pid, lo, hi in blocks:
+            if pid is not None:
+                with live[pid] as pipe:
+                    while lo < hi and pipe.readinto(row) == 8 * width:
+                        acc = list(map(add, acc, row))
+                        lo += 1
+                os.waitpid(pid, 0)
+                del live[pid]
+            for s in range(lo, hi):  # the parent's block, or rows its child did not deliver
+                acc = list(map(add, acc, row_of(s)))
+    finally:  # interrupted or failed: leave no child behind
+        for pid, pipe in live.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return acc
+
+
 def _brandes(order: list[int], nbrs: list[list[int]]) -> list[float]:
     """Accumulate shortest-path dependencies source by source (ascending id)."""
     n = len(order)
-    bc = [0.0] * n
-    for s in range(n):
+
+    def dependencies(s: int) -> list[float]:
         seen, sigma, preds = _shortest_path_dag(s, nbrs)
         delta = [0.0] * n
-        for w in reversed(seen):
-            if w == s:
-                continue
+        for w in seen[:0:-1]:  # reverse BFS order, the source itself excluded
             coeff = (1.0 + delta[w]) / sigma[w]
             for v in preds[w]:
                 delta[v] += sigma[v] * coeff
-            bc[w] += delta[w]
-    return bc
+        delta[s] = 0.0  # a source is no intermediate of its own paths
+        return delta
+
+    return _fold_sources(n, n, dependencies)
 
 
 def betweenness(net: FriendshipNetwork, mode: Mode = Mode.DIRECTED) -> CentralityScores:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .centrality import _index_adjacency, _shortest_path_dag
+from .centrality import _fold_sources, _index_adjacency, _shortest_path_dag
 from .errors import EmptyEdgeSet, EmptyTrace, UnassignedNode
 # Partition and partition_from_blocks are re-exported from here
 from .model import Partition, UndirectedView, _components, partition_from_blocks
@@ -62,24 +62,29 @@ def _edge_betweenness_subset(
     """
     nbrs = _index_adjacency(members, adjacency)
     n = len(members)
-    eb: dict[tuple[int, int], float] = {}
-    for i, row in enumerate(nbrs):
-        for j in row:
-            if i < j:
-                eb[(i, j)] = 0.0
-    for s in range(n):
+    edges = [(i, j) for i, row in enumerate(nbrs) for j in row if i < j]
+    edge_id: list[dict[int, int]] = [{} for _ in range(n)]  # edge_id[w][v]: id of {v, w}
+    for k, (i, j) in enumerate(edges):
+        edge_id[i][j] = edge_id[j][i] = k
+
+    def contributions(s: int) -> list[float]:
+        # a BFS from s reaches each edge from one end at most, so it adds
+        # to each edge once; 0.0 where it adds nothing
         seen, sigma, preds = _shortest_path_dag(s, nbrs)
         delta = [0.0] * n
-        for w in reversed(seen):
-            if w == s:
-                continue
+        row = [0.0] * len(edges)
+        for w in seen[:0:-1]:  # reverse BFS order, the source itself excluded
             coeff = (1.0 + delta[w]) / sigma[w]
+            ids = edge_id[w]
             for v in preds[w]:
                 c = sigma[v] * coeff
-                eb[(v, w) if v < w else (w, v)] += c
+                row[ids[v]] = c
                 delta[v] += c
+        return row
+
+    eb = _fold_sources(n, len(edges), contributions)
     # every unordered pair was counted from both endpoints
-    return {(members[i], members[j]): val / 2.0 for (i, j), val in eb.items()}
+    return {(members[i], members[j]): val / 2.0 for (i, j), val in zip(edges, eb)}
 
 
 def modularity(view: UndirectedView, p: Partition) -> float:

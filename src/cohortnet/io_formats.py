@@ -80,11 +80,16 @@ def _rows(data: bytes | str) -> list[tuple[int, list[str]]]:
 
 
 def _parse_id(cell: str, line: int) -> int:
-    """ASCII digits only: int() would also take "1_0", "+4", " 3" and non-ASCII digits."""
+    """ASCII digits with no leading zero, the only form written back unchanged.
+
+    int() would also take "1_0", "+4", " 3", "007" and non-ASCII digits.
+    """
     if not (cell.isascii() and cell.removeprefix("-").isdigit()):
         raise InvalidId(f"id {cell!r} is not an integer", line=line)
     if cell.startswith("-"):
         raise InvalidId(f"id {cell} must be non-negative", line=line)
+    if cell.startswith("0") and cell != "0":
+        raise InvalidId(f"id {cell!r} has a leading zero", line=line)
     return int(cell)
 
 

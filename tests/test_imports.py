@@ -1,5 +1,6 @@
 """Import cost: the CLI loads only what a command runs, and the lazy package namespace."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,10 +29,31 @@ def loaded_modules(code: str, cwd: Path) -> set[str]:
     return set(done.stdout.split())
 
 
+# betweenness forks its workers with os.fork; no pool module is needed
+PROCESS_POOLS = {"multiprocessing", "concurrent.futures"}
+
+
 def test_cli_import_skips_analysis_modules(tmp_path):
     loaded = loaded_modules("import cohortnet.cli", tmp_path)
     assert "cohortnet.cli" in loaded
-    assert sorted(loaded & set(NOT_LOADED_BY_CLI_IMPORT)) == []
+    assert sorted(loaded & (set(NOT_LOADED_BY_CLI_IMPORT) | PROCESS_POOLS)) == []
+
+
+def test_communities_load_no_process_pool(tmp_path):
+    # one 150-node component: large enough for the kernel to fork its workers
+    n = 150
+    cohort = {"label": "t", "edges": [[i, (i + 1) % n] for i in range(n)],
+              "students": [{"id": i, "gender": "F", "marks": {}} for i in range(n)]}
+    (tmp_path / "c.json").write_text(json.dumps(cohort))
+    loaded = loaded_modules(
+        "from cohortnet.cli import main\n"
+        "assert main(['analyze', 'c.json', '--communities', '--k-max', '3', "
+        "'--out-dir', 'out']) == 0",
+        tmp_path,
+    )
+    assert "cohortnet.community" in loaded
+    assert sorted(loaded & PROCESS_POOLS) == []
+    assert (tmp_path / "out" / "partition.csv").is_file()
 
 
 def test_ingest_runs_without_analysis_modules(tmp_path):

@@ -14,6 +14,7 @@ from cohortnet import (
     make_cohort,
     reciprocity_rate,
 )
+from cohortnet.cli import main
 from cohortnet.errors import (
     BadHeader,
     DataError,
@@ -135,6 +136,35 @@ class TestIdCells:
     def test_negative_id_refused(self):
         with pytest.raises(InvalidId, match="id -3 must be non-negative"):
             parse_edges("source,target\n-3,2\n")
+
+    @pytest.mark.parametrize("cell", ["007", "00", "01", "0010"])
+    def test_leading_zero_refused(self, cell):
+        # int() reads these, but the exports would write them back without the zeros
+        cases = [
+            (parse_roster, f"id,gender\n1,M\n{cell},F\n", 3),
+            (parse_edges, f"source,target\n1,2\n2,{cell}\n", 3),
+            (parse_adjacency, f",1,{cell}\n1,0,1\n{cell},0,0\n", 1),
+            (parse_partition_csv, f"node,cluster\n{cell},1\n", 2),
+            (parse_partition_csv, f"node,cluster\n1,0\n2,{cell}\n", 3),
+        ]
+        for parse, text, line in cases:
+            with pytest.raises(InvalidId, match="has a leading zero") as err:
+                parse(text)
+            assert err.value.line == line
+
+    def test_zero_accepted(self):
+        assert parse_edges("source,target\n0,10\n") == [(0, 10)]
+        assert parse_partition_csv("node,cluster\n0,0\n10,1\n").assignment == {0: 0, 10: 1}
+
+    def test_leading_zero_roster_exits_2_with_line(self, tmp_path, capsys):
+        (tmp_path / "r.csv").write_text("id,gender,mark_s5\n1,M,80\n007,F,55\n")
+        (tmp_path / "e.csv").write_text("source,target\n1,7\n")
+        code = main(["ingest", "--roster", str(tmp_path / "r.csv"),
+                     "--edges", str(tmp_path / "e.csv"), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'007'" in err
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestAdjacency:

@@ -5,6 +5,10 @@ optimized or rewritten. Every comparison is exact: a change that reorders a
 floating-point addition fails here, even when the change is in the last bit.
 """
 
+import os
+import threading
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +17,7 @@ from cohortnet import (
     SymmetrizeRule,
     best_partition,
     betweenness,
+    centrality,
     edge_betweenness,
     eigenvector,
     girvan_newman,
@@ -157,3 +162,210 @@ def test_division_loop_planted_n400_matches_reference():
     nodes, edges = planted_community_edges(seed=401)
     view = symmetrize(mknet(edges, nodes), SymmetrizeRule.UNION)
     _assert_division_exact(view, stop_at_k=15)
+
+
+# -- forked sources --------------------------------------------------------------
+# The same comparisons with the kernels' sources split over forked children:
+# the block size limit is lifted and the usable-CPU count is forced, so even
+# two-node graphs fork one child per extra CPU.
+
+
+@contextmanager
+def forking(cpus, fork=None, min_block=1):
+    """Fork with ``cpus`` usable CPUs and blocks of ``min_block`` sources or
+    more; yields the forked pids."""
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        pid = real_fork() if fork is None else fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(centrality, "FORK_MIN_BLOCK", min_block)
+        mp.setattr(centrality, "_usable_cpus", lambda: cpus)
+        mp.setattr(os, "fork", counting_fork)
+        yield forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+CPUS = pytest.mark.parametrize("cpus", [2, 3])
+
+
+@CPUS
+@settings(max_examples=40, deadline=None)
+@given(directed_networks(max_nodes=16))
+def test_forked_node_betweenness_matches_reference(cpus, net):
+    with forking(cpus) as forks:
+        _assert_betweenness_exact(net)
+    assert bool(forks) == (len(net.nodes) > 1)
+    assert_no_child_left()
+
+
+@CPUS
+@settings(max_examples=40, deadline=None)
+@given(undirected_views(max_nodes=16))
+def test_forked_edge_betweenness_matches_reference(cpus, view):
+    with forking(cpus) as forks:
+        _assert_edge_betweenness_exact(view)
+    assert bool(forks) == bool(view.edges)
+    assert_no_child_left()
+
+
+@CPUS
+@settings(max_examples=25, deadline=None)
+@given(undirected_views(max_nodes=12))
+def test_forked_division_loop_matches_reference(cpus, view):
+    with forking(cpus) as forks:
+        _assert_division_exact(view)
+    assert bool(forks) == bool(view.edges)
+    assert_no_child_left()
+
+
+def test_fold_keeps_source_order():
+    # rows whose sums depend on the order of addition, on every block boundary
+    def row_of(s):
+        return [0.1 * (s + 1) ** k for k in range(-3, 4)]
+
+    expected = [0.0] * 7
+    for s in range(100):
+        expected = [a + b for a, b in zip(expected, row_of(s))]
+    for cpus in (1, 2, 3, 7):
+        with forking(cpus):
+            assert centrality._fold_sources(100, 7, row_of) == expected
+    assert_no_child_left()
+
+
+def _refuse_fork():
+    raise AssertionError("forked where the pass should run on one CPU")
+
+
+@pytest.mark.parametrize(
+    "cpus, n_sources, n_forks", [(64, 127, 0), (64, 128, 1), (64, 200, 2), (2, 1000, 1)]
+)
+def test_blocks_hold_at_least_min_block_sources(cpus, n_sources, n_forks):
+    fork = _refuse_fork if n_forks == 0 else None
+    with forking(cpus, fork=fork, min_block=centrality.FORK_MIN_BLOCK) as forks:
+        assert centrality._fold_sources(n_sources, 3, lambda s: [1.0, s, 2.0 * s]) == [
+            float(n_sources), float(sum(range(n_sources))), 2.0 * sum(range(n_sources))
+        ]
+    assert len(forks) == n_forks
+    assert_no_child_left()
+
+
+def test_rows_over_the_byte_budget_stay_on_one_cpu(monkeypatch):
+    def row_of(s):
+        return [0.1 * s, 1.0]
+
+    expected = centrality._fold_sources(300, 2, row_of)
+    # 300 rows of 2 doubles are 4800 bytes
+    monkeypatch.setattr(centrality, "FORK_MAX_ROW_BYTES", 4799)
+    with forking(2, fork=_refuse_fork) as forks:
+        assert centrality._fold_sources(300, 2, row_of) == expected
+    assert forks == []
+    monkeypatch.setattr(centrality, "FORK_MAX_ROW_BYTES", 4800)
+    with forking(2) as forks:
+        assert centrality._fold_sources(300, 2, row_of) == expected
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_planted_n400_on_one_cpu_matches_reference():
+    # the serial path on a graph large enough to fork where CPUs allow
+    nodes, edges = planted_community_edges(seed=400)
+    net = mknet(edges, nodes)
+    view = symmetrize(net, SymmetrizeRule.UNION)
+    with forking(1, fork=_refuse_fork, min_block=centrality.FORK_MIN_BLOCK):
+        _assert_betweenness_exact(net)
+        _assert_edge_betweenness_exact(view)
+        _assert_division_exact(view, stop_at_k=3)
+
+
+# -- failing children and other threads ------------------------------------------
+
+_nodes, _edges = planted_community_edges(seed=402, n=160)
+PLANTED = symmetrize(mknet(_edges, _nodes), SymmetrizeRule.UNION)
+
+
+def _in_child_write(misbehave):
+    """An ``os.write`` that calls ``misbehave(fd, data)`` in forked children only."""
+    parent, real_write = os.getpid(), os.write
+
+    def write(fd, data):
+        if os.getpid() == parent:
+            return real_write(fd, data)
+        return misbehave(real_write, fd, data)
+
+    return write
+
+
+def _exit_before_writing(real_write, fd, data):
+    os._exit(1)
+
+
+def _write_half_then_exit(real_write, fd, data):
+    data = memoryview(data)[: len(data) // 2]  # cuts a row short as well
+    while data:
+        data = data[real_write(fd, data):]
+    os._exit(1)
+
+
+@CPUS
+@pytest.mark.parametrize("misbehave", [_exit_before_writing, _write_half_then_exit])
+def test_failed_children_change_nothing(monkeypatch, cpus, misbehave):
+    expected_edges = edge_betweenness_subset_ref(sorted(PLANTED.nodes), PLANTED.adjacency)
+    net = mknet(sorted(PLANTED.edges), PLANTED.nodes)
+    expected_nodes = _betweenness_ref(net, Mode.DIRECTED)
+    monkeypatch.setattr(os, "write", _in_child_write(misbehave))
+    with forking(cpus) as forks:
+        assert edge_betweenness(PLANTED) == expected_edges
+        assert betweenness(net, Mode.DIRECTED).scores == expected_nodes
+    assert len(forks) == 2 * (cpus - 1)
+    assert_no_child_left()
+
+
+def test_failed_fork_computes_in_the_parent():
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    with forking(3, fork=no_fork) as forks:
+        assert edge_betweenness(PLANTED) == edge_betweenness_subset_ref(
+            sorted(PLANTED.nodes), PLANTED.adjacency
+        )
+    assert forks == []
+
+
+def test_parent_failure_kills_and_reaps_children():
+    parent = os.getpid()
+
+    def row_of(s):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return [1.0] * 4
+
+    with forking(3) as forks, pytest.raises(KeyboardInterrupt):
+        centrality._fold_sources(300, 4, row_of)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_runs():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        with forking(2, fork=_refuse_fork) as forks:
+            assert edge_betweenness(PLANTED) == edge_betweenness_subset_ref(
+                sorted(PLANTED.nodes), PLANTED.adjacency
+            )
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert forks == []
