@@ -22,8 +22,7 @@ import threading
 from array import array
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .errors import DisconnectedGraph, EmptyEdgeSet, KTooLarge, NoConvergence
 from .model import (  # Measure and Mode are re-exported from here
@@ -44,6 +43,7 @@ FORK_MIN_BLOCK = 64
 # children together hold up to n_sources * width doubles. A pass whose rows
 # exceed this many bytes runs on one CPU, in memory linear in width.
 FORK_MAX_ROW_BYTES = 32 << 20
+CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"  # cgroup v2 CPU quota, read by _usable_cpus
 
 DIRECTED_INPUT_WARNING = (
     "network contains non-reciprocal ties; scores were computed on the "
@@ -51,12 +51,11 @@ DIRECTED_INPUT_WARNING = (
 )
 
 
-@dataclass(frozen=True)
-class CentralityScores:
+class CentralityScores(NamedTuple):
     measure: Measure
     mode: Mode
     scores: dict[int, float]
-    warnings: list[str] = field(default_factory=list)
+    warnings: tuple[str, ...] = ()
     # populated for Measure.DEGREE only
     in_scores: dict[int, float] | None = None
     out_scores: dict[int, float] | None = None
@@ -103,11 +102,17 @@ def _shortest_path_dag(
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; a cgroup CPU quota is not detected."""
+    """CPUs this process may run on, capped by a cgroup v2 CPU quota."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return 1
+    try:  # "<quota> <period>" in microseconds; "max <period>" or no file means no quota
+        with open(CPU_MAX_PATH, "rb") as f:
+            quota, period = f.read().split()
+        return max(1, min(cpus, int(quota) // int(period)))
+    except (OSError, ValueError):
+        return cpus
 
 
 def _fork_block(row_of: Callable[[int], list[float]], lo: int, hi: int) -> tuple[int, BinaryIO]:
@@ -265,11 +270,11 @@ def eigenvector(net: FriendshipNetwork | UndirectedView) -> CentralityScores:
     separated even on bipartite graphs. A directed network with at least one
     non-reciprocal tie gets a recorded warning rather than a refusal.
     """
-    warnings: list[str] = []
+    warnings: tuple[str, ...] = ()
     if isinstance(net, FriendshipNetwork):
         view = symmetrize(net, SymmetrizeRule.UNION)
         if any((t, s) not in net.edges for s, t in net.edges):
-            warnings.append(DIRECTED_INPUT_WARNING)
+            warnings = (DIRECTED_INPUT_WARNING,)
     else:
         view = net
     if not view.edges:

@@ -8,10 +8,8 @@ and identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -21,6 +19,8 @@ from .errors import AnalysisError, DataError, MissingMark, UsageError
 from .model import Cohort, Measure, Mode, Partition, SymmetrizeRule, make_cohort, symmetrize
 
 if TYPE_CHECKING:
+    from logging import Logger
+
     from .community import ModularityCurve
 
 # Each command imports the analysis modules it runs inside its own function,
@@ -31,9 +31,13 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ANALYSIS = 3
 
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
-log = logging.getLogger("cohortnet")
+def _log() -> Logger:
+    """The CLI's logger. logging is imported on the paths that warn, and only there."""
+    import logging
+
+    logging.basicConfig(format="%(levelname)s: %(message)s")
+    return logging.getLogger("cohortnet")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +135,7 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     flag_values = {
-        key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)
+        key: getattr(args, key) for key in RunConfig._fields if hasattr(args, key)
     }
     return build_config(file_values, os.environ.get(OUT_DIR_ENV), flag_values)
 
@@ -189,6 +193,8 @@ def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
         nominations = iof.parse_edges(args.edges.read_bytes())
     else:
         nominations = iof.parse_adjacency(args.adjacency.read_bytes())
+    if args.dedupe:  # make_cohort logs each repeated nomination it drops
+        _log()
     cohort = make_cohort(roster, nominations, args.label, dedupe=args.dedupe)
     _write(args.out, iof.save_cohort(cohort))
     print(f"wrote {args.out} ({len(cohort.students)} students, "
@@ -220,7 +226,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         scores = degree(net)
     for warning in scores.warnings:
-        log.warning("%s", warning)
+        _log().warning("%s", warning)
     path = _write(out / f"centrality_{measure.value}.csv", iof.scores_csv(scores))
     written = [path]
     if args.top is not None:
@@ -332,7 +338,6 @@ def _cmd_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(format="%(levelname)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

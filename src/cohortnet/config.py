@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataError, UsageError
 from .io_formats import _text
-from .model import SymmetrizeRule
+from .model import SymmetrizeRule, _checked_make
 
 if TYPE_CHECKING:
     from .intervention import InterventionPolicy
@@ -16,8 +15,7 @@ if TYPE_CHECKING:
 OUT_DIR_ENV = "COHORTNET_OUT_DIR"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfigFields(NamedTuple):
     high_t: float = 70.0
     low_t: float = 60.0
     k_max: int = 15
@@ -28,7 +26,13 @@ class RunConfig:
     symmetrize: SymmetrizeRule = SymmetrizeRule.UNION
     out_dir: Path = Path("out")
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunConfigFields):
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, *args: object, **kwargs: object) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.low_t < self.high_t:
             raise UsageError(f"need low_t < high_t, got {self.low_t} >= {self.high_t}")
         if self.k_max < 2:
@@ -39,6 +43,7 @@ class RunConfig:
             raise UsageError(
                 f"need 1 <= min_group <= max_group, got {self.min_group}..{self.max_group}"
             )
+        return self
 
     def policy(self) -> InterventionPolicy:
         from .intervention import InterventionPolicy
@@ -63,8 +68,8 @@ def _parse_bool(text: str) -> bool:
 
 # one parser per field, the type of its default (bool("false") would be True)
 _PARSERS = {
-    f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
-    for f in fields(RunConfig)
+    name: _parse_bool if isinstance(default, bool) else type(default)
+    for name, default in RunConfig._field_defaults.items()
 }
 
 
@@ -106,6 +111,6 @@ def build_config(
     if env_out_dir:
         merged["out_dir"] = Path(env_out_dir)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
-    known = {f.name for f in fields(RunConfig)}
+    known = set(RunConfig._fields)
     assert set(merged) <= known, f"unexpected config keys: {set(merged) - known}"
     return RunConfig(**merged)  # type: ignore[arg-type]

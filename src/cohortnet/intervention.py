@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import statistics
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import BadThresholds, DataError, MissingMark, NoHighCluster
-from .model import FriendshipNetwork, Partition, SymmetrizeRule, symmetrize
+from .model import FriendshipNetwork, Partition, SymmetrizeRule, _checked_make, symmetrize
 from .stats import PerfClass, cluster_performance
 
 
@@ -30,25 +31,30 @@ class Role(str, Enum):
     DISPERSED = "dispersed"
 
 
-@dataclass(frozen=True)
-class InterventionPolicy:
+class _PolicyFields(NamedTuple):
     high_t: float = 70.0
     low_t: float = 60.0
     min_group: int = 1
     max_group: int = 18
     keep_low_subgroups: bool = True
 
-    def __post_init__(self) -> None:
+
+class InterventionPolicy(_PolicyFields):
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, *args: object, **kwargs: object) -> InterventionPolicy:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.low_t < self.high_t:
             raise BadThresholds(f"need low_t < high_t, got {self.low_t} >= {self.high_t}")
         if not 1 <= self.min_group <= self.max_group:
             raise DataError(
                 f"need 1 <= min_group <= max_group, got {self.min_group}..{self.max_group}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class PlanGroup:
+class PlanGroup(NamedTuple):
     index: int
     anchor_cluster: int
     anchor_perf: PerfClass
@@ -57,29 +63,17 @@ class PlanGroup:
     overflow: bool = False
 
 
-@dataclass(frozen=True)
-class AssignmentPlan:
+class AssignmentPlan(NamedTuple):
     groups: tuple[PlanGroup, ...]
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GroupProfile:
+class GroupProfile(NamedTuple):
     index: int
     size: int
     mean_mark: float
     high_origin: int  # members preserved from a High cluster
     dispersed: int
-
-
-@dataclass
-class _Draft:
-    index: int
-    anchor_cluster: int
-    anchor_perf: PerfClass
-    members: list[int]
-    dispersed: set[int] = field(default_factory=set)
-    overflow: bool = False
 
 
 def plan_intervention(
@@ -96,18 +90,20 @@ def plan_intervention(
             "least one high-performing cluster to host the moved students"
         )
 
-    drafts: list[_Draft] = []
+    drafts: list[SimpleNamespace] = []  # mutable groups; each becomes a PlanGroup
     low_clusters = []
     for perf in perfs:  # already ordered by cluster id
         if perf.perf is PerfClass.LOW:
             low_clusters.append(perf)
             continue
         drafts.append(
-            _Draft(
+            SimpleNamespace(
                 index=len(drafts),
                 anchor_cluster=perf.cluster,
                 anchor_perf=perf.perf,
                 members=list(perf.members),
+                dispersed=set(),
+                overflow=False,
             )
         )
 

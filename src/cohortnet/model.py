@@ -9,11 +9,10 @@ ties only).
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     DataError,
@@ -25,8 +24,6 @@ from .errors import (
     SelfLoop,
     UnknownId,
 )
-
-log = logging.getLogger(__name__)
 
 
 class Gender(str, Enum):
@@ -63,32 +60,46 @@ def _check_mark(value: float, context: str) -> None:
         raise InvalidMark(f"{context}: mark {value!r} outside [0, 100]")
 
 
-@dataclass(frozen=True)
-class Student:
+# Records are NamedTuples. One that checks its fields is a subclass whose __new__
+# checks them and whose _make is _checked_make, since namedtuple's own _make (which
+# _replace calls) skips __new__. One that caches a property has an instance __dict__.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class _StudentFields(NamedTuple):
+    id: int
+    gender: Gender
+    marks: dict[str, float]
+
+
+class Student(_StudentFields):
     """One cohort member; marks are keyed by semester label (e.g. "s5")."""
 
-    id: int
-    gender: Gender = Gender.UNSPECIFIED
-    marks: dict[str, float] = field(default_factory=dict)
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise InvalidId(f"student id {self.id} must be non-negative")
-        for semester, mark in self.marks.items():
-            _check_mark(mark, f"student {self.id}, semester {semester!r}")
+    def __new__(cls, id: int, gender: Gender = Gender.UNSPECIFIED,
+                marks: dict[str, float] | None = None) -> Student:
+        if id < 0:
+            raise InvalidId(f"student id {id} must be non-negative")
+        marks = {} if marks is None else marks
+        for semester, mark in marks.items():
+            _check_mark(mark, f"student {id}, semester {semester!r}")
+        return super().__new__(cls, id, gender, marks)
 
 
-@dataclass(frozen=True)
-class FriendshipNetwork:
+class _NetworkFields(NamedTuple):
+    label: str
+    nodes: frozenset[int]
+    edges: frozenset[tuple[int, int]]
+
+
+class FriendshipNetwork(_NetworkFields):
     """Directed simple graph over student ids.
 
     Invariants (enforced by :func:`build_network`): no self-loops, no
     duplicate edges, every edge endpoint is a known node.
     """
-
-    label: str
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
 
     @cached_property
     def out_adjacency(self) -> dict[int, frozenset[int]]:
@@ -98,13 +109,14 @@ class FriendshipNetwork:
         return {v: frozenset(n) for v, n in nbrs.items()}
 
 
-@dataclass(frozen=True)
-class UndirectedView:
-    """Undirected projection of a network; edges stored as (lo, hi) pairs."""
-
+class _ViewFields(NamedTuple):
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
     rule: SymmetrizeRule
+
+
+class UndirectedView(_ViewFields):
+    """Undirected projection of a network; edges stored as (lo, hi) pairs."""
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
@@ -145,15 +157,20 @@ def _components(nodes: Iterable[int], adjacency: Mapping[int, Iterable[int]]) ->
     return comps
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Node -> cluster assignment with dense cluster ids 0..k-1."""
-
+class _PartitionFields(NamedTuple):
     assignment: dict[int, int]
     k: int
     q: float | None = None
 
-    def __post_init__(self) -> None:
+
+class Partition(_PartitionFields):
+    """Node -> cluster assignment with dense cluster ids 0..k-1."""
+
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, *args: object, **kwargs: object) -> Partition:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.assignment:
             raise DataError("a partition needs at least one node")
         used = set(self.assignment.values())
@@ -161,6 +178,7 @@ class Partition:
             raise DataError(
                 f"cluster ids must be exactly 0..{self.k - 1}, got {sorted(used)}"
             )
+        return self
 
     def clusters(self) -> list[set[int]]:
         out: list[set[int]] = [set() for _ in range(self.k)]
@@ -209,7 +227,8 @@ def build_network(
             raise UnknownId(f"edge target {tgt} is not in the roster")
         if (src, tgt) in edges:
             if dedupe:
-                log.warning("duplicate nomination (%s, %s) ignored", src, tgt)
+                from logging import getLogger  # imported on this path only
+                getLogger(__name__).warning("duplicate nomination (%s, %s) ignored", src, tgt)
                 continue
             raise DuplicateEdge(f"nomination ({src}, {tgt}) appears more than once")
         edges.add((src, tgt))
@@ -244,12 +263,13 @@ def reciprocity_rate(net: FriendshipNetwork) -> float:
     return mutual / len(net.edges)
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """A network plus the per-student attributes it was built from."""
-
+class _CohortFields(NamedTuple):
     network: FriendshipNetwork
     students: tuple[Student, ...]
+
+
+class Cohort(_CohortFields):
+    """A network plus the per-student attributes it was built from."""
 
     @cached_property
     def by_id(self) -> dict[int, Student]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import statistics
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     BadThresholds,
@@ -41,8 +41,7 @@ class PerfClass(str, Enum):
     LOW = "low"
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
+class DistributionSummary(NamedTuple):
     n: int
     mean: float
     median: float
@@ -55,16 +54,14 @@ class DistributionSummary:
     histogram: tuple[tuple[float, int], ...]  # (bin lower bound, count)
 
 
-@dataclass(frozen=True)
-class ClusterPerformance:
+class ClusterPerformance(NamedTuple):
     cluster: int
     members: tuple[int, ...]
     mean_mark: float
     perf: PerfClass
 
 
-@dataclass(frozen=True)
-class GroupComparison:
+class GroupComparison(NamedTuple):
     summary_a: DistributionSummary
     summary_b: DistributionSummary
     mean_difference: float  # mean(a) - mean(b)

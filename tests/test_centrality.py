@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 
 from cohortnet import (
     Mode,
+    centrality,
     betweenness,
     closeness,
     degree,
@@ -173,3 +175,23 @@ class TestRankRepresentatives:
         first = rank_representatives(net, 5)
         for _ in range(3):
             assert rank_representatives(net, 5) == first
+
+
+class TestUsableCpus:
+    """A cgroup v2 CPU quota caps the CPUs the Brandes passes fork for."""
+
+    @pytest.mark.parametrize("cpu_max, expected", [
+        ("max 100000\n", 4),
+        ("150000 100000\n", 1),
+        ("200000 100000\n", 2),
+        ("50000 100000\n", 1),  # under one CPU: never below 1
+        ("800000 100000\n", 4),  # above the affinity mask: the mask caps it
+        (None, 4),  # no file, as on cgroup v1
+    ])
+    def test_quota_caps_the_affinity_mask(self, monkeypatch, tmp_path, cpu_max, expected):
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max)
+        monkeypatch.setattr(centrality, "CPU_MAX_PATH", str(path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert centrality._usable_cpus() == expected

@@ -32,11 +32,70 @@ def loaded_modules(code: str, cwd: Path) -> set[str]:
 # betweenness forks its workers with os.fork; no pool module is needed
 PROCESS_POOLS = {"multiprocessing", "concurrent.futures"}
 
+# The records are NamedTuples and logging is imported only where a warning is
+# emitted, so no command that does not warn loads these.
+START_UP_COSTS = {"dataclasses", "inspect", "logging"}
+
+QUICK_START = (
+    ["demo", "--out-dir", "out"],
+    ["ingest", "--roster", "out/roster.csv", "--edges", "out/edges.csv",
+     "--out", "out/cohort.json"],
+    ["analyze", "out/cohort.json", "--communities", "--k-max", "15", "--out-dir", "out"],
+    ["analyze", "out/cohort.json", "--measure", "betweenness", "--top", "3", "--out-dir", "out"],
+    ["classify", "out/cohort.json", "--partition", "out/partition.csv", "--out-dir", "out"],
+    ["plan", "out/cohort.json", "--partition", "out/partition.csv", "--out-dir", "out"],
+    ["report", "out/cohort.json", "--out-dir", "out"],
+    ["export", "out/cohort.json", "--format", "dot", "--semester", "s5",
+     "--partition", "out/partition.csv", "--out-dir", "out"],
+)
+
 
 def test_cli_import_skips_analysis_modules(tmp_path):
     loaded = loaded_modules("import cohortnet.cli", tmp_path)
     assert "cohortnet.cli" in loaded
     assert sorted(loaded & (set(NOT_LOADED_BY_CLI_IMPORT) | PROCESS_POOLS)) == []
+
+
+def test_quick_start_loads_no_start_up_costs(tmp_path):
+    # what a bare interpreter loads (site hooks, say) is not the program's doing
+    ours = START_UP_COSTS - loaded_modules("pass", tmp_path)
+    assert sorted(loaded_modules("import cohortnet.cli", tmp_path) & ours) == []
+    for argv in QUICK_START:
+        loaded = loaded_modules(
+            f"from cohortnet.cli import main\nassert main({argv!r}) == 0", tmp_path
+        )
+        assert (argv[0], sorted(loaded & ours)) == (argv[0], [])
+
+
+def run_cli(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "cohortnet", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=60)
+
+
+def test_dedupe_warning_on_stderr(tmp_path):
+    (tmp_path / "r.csv").write_text("id,gender,mark_s5\n1,M,80\n2,F,55\n")
+    (tmp_path / "e.csv").write_text("source,target\n1,2\n1,2\n")
+    done = run_cli(["ingest", "--roster", "r.csv", "--edges", "e.csv", "--dedupe",
+                    "--out", "c.json"], tmp_path)
+    assert done.returncode == 0
+    assert done.stderr == b"WARNING: duplicate nomination (1, 2) ignored\n"
+
+
+def test_eigenvector_warning_on_stderr(tmp_path):
+    (tmp_path / "c.json").write_text(
+        '{"label": "t", "edges": [[1, 2], [2, 1], [2, 3]], "students": ['
+        '{"id": 1, "gender": "M", "marks": {}}, {"id": 2, "gender": "F", "marks": {}}, '
+        '{"id": 3, "gender": "F", "marks": {}}]}'
+    )
+    done = run_cli(["analyze", "c.json", "--measure", "eigenvector", "--out-dir", "out"],
+                   tmp_path)
+    assert done.returncode == 0
+    assert done.stderr == (
+        b"WARNING: network contains non-reciprocal ties; scores were computed on the "
+        b"union-symmetrized view and may not reflect the directed structure\n"
+    )
+    assert (tmp_path / "out" / "centrality_eigenvector.csv").is_file()
 
 
 def test_communities_load_no_process_pool(tmp_path):

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortnet import (
     Mode,
@@ -21,6 +22,8 @@ from cohortnet import (
     edge_betweenness,
     eigenvector,
     girvan_newman,
+    modularity,
+    partition_from_blocks,
     symmetrize,
 )
 from cohortnet.community import _edge_betweenness_subset
@@ -33,6 +36,7 @@ from oracles import (
     edge_betweenness_subset_ref,
     girvan_newman_ref,
     index_adjacency_ref,
+    modularity_ref,
     planted_community_edges,
     power_iteration_ref,
 )
@@ -97,6 +101,24 @@ def test_power_iteration_matches_reference(view):
     _assert_eigenvector_exact(view)
 
 
+def _partition_of(labels):
+    """The partition whose clusters are the nodes sharing a label."""
+    blocks = {}
+    for v, label in labels.items():
+        blocks.setdefault(label, set()).add(v)
+    return partition_from_blocks(list(blocks.values()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(undirected_views(max_nodes=16), st.data())
+def test_modularity_matches_left_fold(view, data):
+    if not view.edges:
+        return
+    labels = {v: data.draw(st.integers(0, 6)) for v in sorted(view.nodes)}
+    p = _partition_of(labels)
+    assert modularity(view, p) == modularity_ref(view, p)
+
+
 def test_planted_communities_n400_match_reference():
     nodes, edges = planted_community_edges(seed=400)
     net = mknet(edges, nodes)
@@ -105,6 +127,9 @@ def test_planted_communities_n400_match_reference():
     _assert_betweenness_exact(net)
     _assert_edge_betweenness_exact(view)
     _assert_eigenvector_exact(view)
+    for size in (3, 8, 40, 200):  # 134 down to 2 clusters
+        p = _partition_of({v: v // size for v in view.nodes})
+        assert modularity(view, p) == modularity_ref(view, p)
 
 
 def _selection(view, trace, k_max, select):
