@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "centrality": (
-        "CentralityScores", "Measure", "Mode", "betweenness", "closeness", "degree",
-        "eigenvector", "rank_representatives",
+        "CentralityScores", "betweenness", "closeness", "degree", "eigenvector",
+        "rank_representatives",
     ),
     "community": (
         "DivisionStep", "DivisionTrace", "ModularityCurve", "best_partition",
@@ -31,9 +31,10 @@ _EXPORTS = {
         "plan_intervention", "predicted_group_profile",
     ),
     "model": (
-        "Cohort", "FriendshipNetwork", "Gender", "Partition", "Student", "SymmetrizeRule",
-        "UndirectedView", "build_network", "make_cohort", "partition_from_blocks",
-        "pendant_vertices", "reciprocity_rate", "symmetrize", "weak_components",
+        "Cohort", "FriendshipNetwork", "Gender", "Measure", "Mode", "Partition", "Student",
+        "SymmetrizeRule", "UndirectedView", "build_network", "make_cohort",
+        "partition_from_blocks", "pendant_vertices", "reciprocity_rate", "symmetrize",
+        "weak_components",
     ),
     "stats": (
         "ClusterPerformance", "DistributionSummary", "GroupComparison", "PerfClass", "Shape",

@@ -20,12 +20,11 @@ import os
 import signal
 import threading
 from array import array
-from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from typing import BinaryIO, NamedTuple
 
 from .errors import DisconnectedGraph, EmptyEdgeSet, KTooLarge, NoConvergence
-from .model import (  # Measure and Mode are re-exported from here
+from .model import (
     FriendshipNetwork,
     Measure,
     Mode,
@@ -250,15 +249,14 @@ def closeness(net: FriendshipNetwork) -> CentralityScores:
     for i, v in enumerate(order):
         dist = [-1] * n
         dist[i] = 0
-        total = 0
-        queue = deque([i])
-        while queue:
-            u = queue.popleft()
+        seen = [i]
+        for u in seen:  # the visit list doubles as the queue
+            d1 = dist[u] + 1
             for w in nbrs[u]:
                 if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    total += dist[w]
-                    queue.append(w)
+                    dist[w] = d1
+                    seen.append(w)
+        total = sum(dist)  # connected, so every distance is set
         scores[v] = (n - 1) / total if total else 0.0
     return CentralityScores(measure=Measure.CLOSENESS, mode=Mode.UNDIRECTED, scores=scores)
 

@@ -257,13 +257,14 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
-    from .intervention import plan_intervention, predicted_group_profile
+    from .intervention import InterventionPolicy, plan_intervention, predicted_group_profile
 
     cohort = _load_cohort(args.cohort)
     semester = _resolve_semester(cohort, args.semester)
     marks = _marks_for_all(cohort, semester)
     partition = _partition_for(cohort, args, cfg)
-    plan = plan_intervention(cohort.network, partition, marks, cfg.policy())
+    policy = InterventionPolicy(**{f: getattr(cfg, f) for f in InterventionPolicy._fields})
+    plan = plan_intervention(cohort.network, partition, marks, policy)
     profiles = predicted_group_profile(plan, marks)
     report = iof.plan_report(plan, profiles, semester)
     csv_path = _write(cfg.out_dir / "plan.csv", iof.plan_csv(plan))

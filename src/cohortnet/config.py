@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DataError, UsageError
 from .io_formats import _text
-from .model import SymmetrizeRule, _checked_make
-
-if TYPE_CHECKING:
-    from .intervention import InterventionPolicy
+from .model import (
+    SymmetrizeRule,
+    _check_bin_width,
+    _check_group_bounds,
+    _check_thresholds,
+    _checked_make,
+)
 
 OUT_DIR_ENV = "COHORTNET_OUT_DIR"
 
@@ -33,28 +36,12 @@ class RunConfig(_RunConfigFields):
 
     def __new__(cls, *args: object, **kwargs: object) -> RunConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if not self.low_t < self.high_t:
-            raise UsageError(f"need low_t < high_t, got {self.low_t} >= {self.high_t}")
+        _check_thresholds(self.high_t, self.low_t)
         if self.k_max < 2:
             raise UsageError(f"k_max must be >= 2, got {self.k_max}")
-        if self.bin_width < 1:
-            raise UsageError(f"bin_width must be >= 1, got {self.bin_width}")
-        if not 1 <= self.min_group <= self.max_group:
-            raise UsageError(
-                f"need 1 <= min_group <= max_group, got {self.min_group}..{self.max_group}"
-            )
+        _check_bin_width(self.bin_width)
+        _check_group_bounds(self.min_group, self.max_group)
         return self
-
-    def policy(self) -> InterventionPolicy:
-        from .intervention import InterventionPolicy
-
-        return InterventionPolicy(
-            high_t=self.high_t,
-            low_t=self.low_t,
-            min_group=self.min_group,
-            max_group=self.max_group,
-            keep_low_subgroups=self.keep_low_subgroups,
-        )
 
 
 def _parse_bool(text: str) -> bool:
@@ -111,6 +98,4 @@ def build_config(
     if env_out_dir:
         merged["out_dir"] = Path(env_out_dir)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
-    known = set(RunConfig._fields)
-    assert set(merged) <= known, f"unexpected config keys: {set(merged) - known}"
     return RunConfig(**merged)  # type: ignore[arg-type]

@@ -21,8 +21,16 @@ from enum import Enum
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .errors import BadThresholds, DataError, MissingMark, NoHighCluster
-from .model import FriendshipNetwork, Partition, SymmetrizeRule, _checked_make, symmetrize
+from .errors import MissingMark, NoHighCluster
+from .model import (
+    FriendshipNetwork,
+    Partition,
+    SymmetrizeRule,
+    _check_group_bounds,
+    _check_thresholds,
+    _checked_make,
+    symmetrize,
+)
 from .stats import PerfClass, cluster_performance
 
 
@@ -45,12 +53,8 @@ class InterventionPolicy(_PolicyFields):
 
     def __new__(cls, *args: object, **kwargs: object) -> InterventionPolicy:
         self = super().__new__(cls, *args, **kwargs)
-        if not self.low_t < self.high_t:
-            raise BadThresholds(f"need low_t < high_t, got {self.low_t} >= {self.high_t}")
-        if not 1 <= self.min_group <= self.max_group:
-            raise DataError(
-                f"need 1 <= min_group <= max_group, got {self.min_group}..{self.max_group}"
-            )
+        _check_thresholds(self.high_t, self.low_t)
+        _check_group_bounds(self.min_group, self.max_group)
         return self
 
 

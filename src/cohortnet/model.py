@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
+    BadThresholds,
     DataError,
     DuplicateEdge,
     DuplicateId,
@@ -23,6 +24,7 @@ from .errors import (
     InvalidMark,
     SelfLoop,
     UnknownId,
+    UsageError,
 )
 
 
@@ -58,6 +60,22 @@ class Mode(str, Enum):
 def _check_mark(value: float, context: str) -> None:
     if not 0.0 <= value <= 100.0:
         raise InvalidMark(f"{context}: mark {value!r} outside [0, 100]")
+
+
+# The run settings' rules, shared by RunConfig, InterventionPolicy and stats.
+def _check_thresholds(high_t: float, low_t: float) -> None:
+    if not low_t < high_t:
+        raise BadThresholds(f"need low_t < high_t, got {low_t} >= {high_t}")
+
+
+def _check_group_bounds(min_group: int, max_group: int) -> None:
+    if not 1 <= min_group <= max_group:
+        raise UsageError(f"need 1 <= min_group <= max_group, got {min_group}..{max_group}")
+
+
+def _check_bin_width(bin_width: float) -> None:
+    if bin_width < 1:
+        raise UsageError(f"bin_width must be >= 1, got {bin_width}")
 
 
 # Records are NamedTuples. One that checks its fields is a subclass whose __new__
@@ -263,17 +281,11 @@ def reciprocity_rate(net: FriendshipNetwork) -> float:
     return mutual / len(net.edges)
 
 
-class _CohortFields(NamedTuple):
-    network: FriendshipNetwork
-    students: tuple[Student, ...]
-
-
-class Cohort(_CohortFields):
+class Cohort(NamedTuple):
     """A network plus the per-student attributes it was built from."""
 
-    @cached_property
-    def by_id(self) -> dict[int, Student]:
-        return {s.id: s for s in self.students}
+    network: FriendshipNetwork
+    students: tuple[Student, ...]
 
     def semesters(self) -> list[str]:
         labels: set[str] = set()

@@ -15,16 +15,8 @@ from collections.abc import Mapping, Sequence
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import (
-    BadThresholds,
-    DataError,
-    EmptyGroup,
-    InvalidMark,
-    MissingMark,
-    TooFewSamples,
-    ZeroVariance,
-)
-from .model import Partition
+from .errors import EmptyGroup, InvalidMark, MissingMark, TooFewSamples, ZeroVariance
+from .model import Partition, _check_bin_width, _check_thresholds
 
 SKEW_SHAPE_THRESHOLD = 0.5
 
@@ -102,8 +94,7 @@ def summarize(marks: Sequence[float], bin_width: float = 5) -> DistributionSumma
     """Descriptive summary of marks in percent, with a binned histogram."""
     if not marks:
         raise EmptyGroup("cannot summarize an empty mark list")
-    if bin_width < 1:
-        raise DataError(f"bin width must be >= 1, got {bin_width}")
+    _check_bin_width(bin_width)
     for x in marks:
         if not 0.0 <= x <= 100.0:
             raise InvalidMark(f"mark {x!r} outside [0, 100]")
@@ -139,8 +130,7 @@ def cluster_performance(
     A cluster is High when its mean clears ``high_t``, Low when it falls
     below ``low_t``.
     """
-    if not low_t < high_t:
-        raise BadThresholds(f"need low_t < high_t, got {low_t} >= {high_t}")
+    _check_thresholds(high_t, low_t)
     out: list[ClusterPerformance] = []
     for cid, members in enumerate(p.clusters()):
         values = []

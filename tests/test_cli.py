@@ -73,6 +73,11 @@ class TestIngest:
                 "--edges", str(tmp_path / "e.csv"), "--out", str(tmp_path / "c.json")]
         assert main(base) == 2
         assert main(base + ["--dedupe"]) == 0
+        (tmp_path / "plain.csv").write_text("source,target\n1,2\n")
+        assert main(["ingest", "--roster", str(tmp_path / "r.csv"),
+                     "--edges", str(tmp_path / "plain.csv"),
+                     "--out", str(tmp_path / "plain.json")]) == 0
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 class TestInputHardening:
@@ -92,6 +97,41 @@ class TestInputHardening:
                      "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and "line 2" in err and "byte offset 20" in err
+
+    @pytest.mark.parametrize("kind, text, line", [
+        ("roster", "", 1),
+        ("roster", "id,gender,mark_s5,mark_s5\n1,M,80,80\n", 1),
+        ("roster", "id,gender,mark_s5\n1,M\n", 2),
+        ("roster", "id,gender,mark_s5\n1,M,abc\n", 2),
+        ("edges", "", 1),
+        ("edges", "source,target\n1,2,3\n", 2),
+        ("adjacency", "", 1),
+        ("adjacency", ",1,1\n1,0,0\n1,0,0\n", 1),
+        ("adjacency", ",1,2\n2,0,0\n1,0,0\n", 2),
+        ("partition", "", 1),
+        ("partition", "node,cluster\n1\n", 2),
+        ("partition", "id,cluster\n1,0\n", 1),
+    ], ids=[
+        "roster-empty", "roster-duplicate-mark-column", "roster-field-count",
+        "roster-mark-abc", "edges-empty", "edges-field-count", "adjacency-empty",
+        "adjacency-duplicate-header-id", "adjacency-row-out-of-order", "partition-empty",
+        "partition-field-count", "partition-header",
+    ])
+    def test_malformed_file_exit_2_with_line(self, tmp_path, capsys, kind, text, line):
+        paths = {}
+        for name, content in {"roster": ROSTER, "edges": EDGES, kind: text}.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(content)
+        out = tmp_path / "out"
+        if kind == "partition":
+            argv = ["classify", str(path_cohort(tmp_path)), "--partition", str(paths[kind])]
+        else:
+            source = "adjacency" if kind == "adjacency" else "edges"
+            argv = ["ingest", "--roster", str(paths["roster"]), f"--{source}",
+                    str(paths[source]), "--out", str(out / "c.json")]
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert f"data error: line {line}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_cohort_exit_2(self, tmp_path):
         (tmp_path / "c.json").write_bytes(b'{"label": "\xff"}')
@@ -179,6 +219,17 @@ class TestAnalyze:
         reps = (out / "representatives.csv").read_text().splitlines()
         assert reps[1].startswith("1,2,")  # rank 1 is the middle node
 
+    def test_eigenvector_no_convergence_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["demo", "--seed", "105", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(tmp_path / "cohort.json"), "--measure", "eigenvector",
+                     "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "analysis refused: power iteration did not converge within 1000 iterations\n"
+        )
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cohort = barbell_cohort(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -228,6 +279,26 @@ class TestClassifyAndPlan:
         ]
         report = (out / "plan_report.txt").read_text()
         assert "2 groups" in report and "dispersed: 7 8" in report
+
+    def test_keep_low_subgroups_from_config_file(self, tmp_path):
+        cohort, partition = self.plan_inputs(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("keep_low_subgroups=no\n")
+        out = tmp_path / "out"
+        assert main(["plan", str(cohort), "--partition", str(partition), "--max-group", "6",
+                     "--config", str(cfg), "--out-dir", str(out)]) == 0
+        rows = (out / "plan.csv").read_text().splitlines()
+        # singletons: 7 goes to group 0, then 8 to group 1, now the smaller one
+        assert rows[-2:] == ["7,0,dispersed", "8,1,dispersed"]
+
+    def test_group_bounds_notes_on_demo(self, tmp_path):
+        assert main(["demo", "--out-dir", str(tmp_path)]) == 0
+        out = tmp_path / "out"
+        assert main(["plan", str(tmp_path / "cohort.json"), "--min-group", "15",
+                     "--max-group", "15", "--out-dir", str(out)]) == 0
+        notes = (out / "plan_report.txt").read_text().split("notes:\n")[1].splitlines()
+        assert notes[0].startswith("  - group 3 exceeds max_group=15: no group could take")
+        assert notes[-1] == "  - group 7 has 8 members, below min_group=15"
 
     def test_all_low_exit_3(self, tmp_path, capsys):
         students = [Student(id=i, marks={"s5": 40.0}) for i in (1, 2)]
@@ -330,6 +401,37 @@ class TestDemoAndConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
         assert main(["report", str(cohort), "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("keep_low_subgroups=maybe\n", 1),
+        ("# thresholds\nhigh_t 80\n", 2),
+        ("k_max=abc\n", 1),
+        ("\nsymmetrize=bogus\n", 2),
+    ], ids=["bool", "no-equals", "int", "symmetrize"])
+    def test_bad_config_line_usage_error(self, tmp_path, capsys, text, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["report", str(path_cohort(tmp_path)), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {cfg}:{line}: ")
+
+    @pytest.mark.parametrize("command, flags, text, message", [
+        ("plan", ["--high-t", "50", "--low-t", "60"], "high_t=50\nlow_t=60\n",
+         "need low_t < high_t, got 60.0 >= 50.0"),
+        ("plan", ["--min-group", "0"], "min_group=0\n",
+         "need 1 <= min_group <= max_group, got 0..18"),
+        ("report", ["--bins", "0"], "bin_width=0\n", "bin_width must be >= 1, got 0"),
+        ("plan", ["--k-max", "1"], "k_max=1\n", "k_max must be >= 2, got 1"),
+    ], ids=["thresholds", "group-bounds", "bin-width", "k-max"])
+    def test_broken_setting_rule_usage_error(self, tmp_path, capsys, command, flags, text,
+                                             message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        base = [command, str(path_cohort(tmp_path)), "--out-dir", str(tmp_path / "out")]
+        for extra in (flags, ["--config", str(cfg)]):
+            assert main(base + extra) == 1
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         cohort = path_cohort(tmp_path)

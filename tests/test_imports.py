@@ -47,6 +47,7 @@ QUICK_START = (
     ["report", "out/cohort.json", "--out-dir", "out"],
     ["export", "out/cohort.json", "--format", "dot", "--semester", "s5",
      "--partition", "out/partition.csv", "--out-dir", "out"],
+    ["export", "out/cohort.json", "--format", "graphml", "--out-dir", "out"],
 )
 
 
@@ -150,6 +151,26 @@ def test_every_exported_name_resolves_and_is_listed():
         assert getattr(cohortnet, name) is not None
         assert name in listed
     assert cohortnet.__version__
+
+
+def test_model_enums_resolve_without_centrality(tmp_path):
+    # Measure and Mode live in model; centrality would also load threading and signal
+    bare = loaded_modules("pass", tmp_path)
+    loaded = loaded_modules("from cohortnet import Measure, Mode", tmp_path)
+    assert "cohortnet.model" in loaded
+    assert sorted((loaded - bare) & {"cohortnet.centrality", "threading", "signal"}) == []
+
+
+def test_kmax_sweep_script_runs(tmp_path):
+    # the script resolves its names through the lazy package namespace
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, str(SRC.parent / "scripts" / "kmax_sweep.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "planted communities: 12"
+    assert "  k_max= 15  ->  k= 11, Q=0.8316" in lines
+    assert "rule=intersection (163 undirected edges)" in lines
 
 
 def test_submodule_import_through_package():

@@ -137,7 +137,7 @@ def test_fields_cannot_be_reassigned(cls):
     (lambda: Partition(assignment={}, k=0), DataError, "a partition needs at least one node"),
     (lambda: Partition(assignment={1: 0, 2: 2}, k=2), DataError,
      "cluster ids must be exactly 0..1, got [0, 2]"),
-    (lambda: RunConfig(low_t=70.0, high_t=70.0), UsageError,
+    (lambda: RunConfig(low_t=70.0, high_t=70.0), BadThresholds,
      "need low_t < high_t, got 70.0 >= 70.0"),
     (lambda: RunConfig(k_max=1), UsageError, "k_max must be >= 2, got 1"),
     (lambda: RunConfig(bin_width=0), UsageError, "bin_width must be >= 1, got 0"),
@@ -145,7 +145,7 @@ def test_fields_cannot_be_reassigned(cls):
      "need 1 <= min_group <= max_group, got 5..4"),
     (lambda: InterventionPolicy(low_t=80.0, high_t=70.0), BadThresholds,
      "need low_t < high_t, got 80.0 >= 70.0"),
-    (lambda: InterventionPolicy(min_group=0), DataError,
+    (lambda: InterventionPolicy(min_group=0), UsageError,
      "need 1 <= min_group <= max_group, got 0..18"),
 ], ids=[
     "student-id", "student-mark", "partition-empty", "partition-not-dense",
@@ -174,9 +174,7 @@ def test_replace_checks_like_construction(record, name, value, error):
     (lambda: FriendshipNetwork(**NETWORK), "out_adjacency"),
     (lambda: UndirectedView(nodes=frozenset({1, 2, 3}), edges=frozenset({(1, 2)}),
                             rule=SymmetrizeRule.UNION), "adjacency"),
-    (lambda: Cohort(network=FriendshipNetwork(**NETWORK),
-                    students=(Student(id=1), Student(id=2))), "by_id"),
-], ids=["out_adjacency", "adjacency", "by_id"])
+], ids=["out_adjacency", "adjacency"])
 def test_cached_property_is_computed_once(build, prop):
     record = build()
     first = getattr(record, prop)

@@ -18,6 +18,7 @@ from cohortnet.errors import (
     InvalidMark,
     MissingMark,
     TooFewSamples,
+    UsageError,
     ZeroVariance,
 )
 
@@ -85,6 +86,10 @@ class TestSummarize:
     def test_empty_refused(self):
         with pytest.raises(EmptyGroup):
             summarize([])
+
+    def test_bin_width_below_one_is_usage_error(self):
+        with pytest.raises(UsageError, match=r"^bin_width must be >= 1, got 0\.5$"):
+            summarize([50], bin_width=0.5)
 
     def test_histogram_spans_range_contiguously(self):
         s = summarize([0, 12, 100], bin_width=10)
