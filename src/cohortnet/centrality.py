@@ -15,13 +15,14 @@ warning when the network contains non-reciprocal ties.
 
 from __future__ import annotations
 
+import heapq
 import operator
 import os
 import signal
 import threading
 from array import array
 from collections.abc import Callable, Iterable, Mapping
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, NamedTuple, TypeVar
 
 from .errors import DisconnectedGraph, EmptyEdgeSet, KTooLarge, NoConvergence
 from .model import (
@@ -43,6 +44,7 @@ FORK_MIN_BLOCK = 64
 # exceed this many bytes runs on one CPU, in memory linear in width.
 FORK_MAX_ROW_BYTES = 32 << 20
 CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"  # cgroup v2 CPU quota, read by _usable_cpus
+_Key = TypeVar("_Key", int, tuple[int, int])  # what top_k ranks: a node id or an edge
 
 DIRECTED_INPUT_WARNING = (
     "network contains non-reciprocal ties; scores were computed on the "
@@ -319,11 +321,12 @@ def degree(net: FriendshipNetwork) -> CentralityScores:
     )
 
 
-def top_k(scores: Mapping[int, float], k: int) -> list[int]:
-    """The k highest-scoring nodes, ties broken by ascending id."""
+def top_k(scores: Mapping[_Key, float], k: int) -> list[_Key]:
+    """The k highest-scoring node ids or edges, ties broken by the smaller one."""
     if not 1 <= k <= len(scores):
         raise KTooLarge(f"k={k} outside 1..{len(scores)}")
-    return sorted(scores, key=lambda v: (-scores[v], v))[:k]
+    # equal to sorted(...)[:k]; for k=1 a single min() pass
+    return heapq.nsmallest(k, scores, key=lambda v: (-scores[v], v))
 
 
 def rank_representatives(net: FriendshipNetwork, k: int) -> list[int]:

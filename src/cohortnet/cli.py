@@ -285,20 +285,18 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         semester = _resolve_semester(cohort, args.semester)
         marks = _marks_for_all(cohort, semester)
         mark_lists.append([marks[v] for v in sorted(marks)])
-    out = cfg.out_dir
-    labels = ["a", "b"]
-    written = []
-    summaries = []
-    for label, values in zip(labels, mark_lists):
-        summary = summarize(values, cfg.bin_width)
-        summaries.append(summary)
-        written.append(_write(out / f"summary_{label}.csv", iof.summary_csv(summary)))
-        written.append(_write(out / f"histogram_{label}.csv", iof.histogram_csv(summary)))
+    comparison = None
     if len(mark_lists) == 2:
         comparison = compare_groups(mark_lists[0], mark_lists[1], cfg.bin_width)
-        text = iof.report_text(summaries[0], "cohort a", comparison, "cohort b")
+        summaries = [comparison.summary_a, comparison.summary_b]
     else:
-        text = iof.report_text(summaries[0], "cohort a")
+        summaries = [summarize(mark_lists[0], cfg.bin_width)]
+    out = cfg.out_dir
+    written = []
+    for label, summary in zip("ab", summaries):
+        written.append(_write(out / f"summary_{label}.csv", iof.summary_csv(summary)))
+        written.append(_write(out / f"histogram_{label}.csv", iof.histogram_csv(summary)))
+    text = iof.report_text(summaries[0], "cohort a", comparison, "cohort b")
     written.append(_write(out / "report.txt", text))
     print(text, end="")
     print(f"wrote {', '.join(str(p) for p in written)}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
-from .centrality import _fold_sources, _index_adjacency, _shortest_path_dag
+from .centrality import _fold_sources, _index_adjacency, _shortest_path_dag, top_k
 from .errors import EmptyEdgeSet, EmptyTrace, UnassignedNode
 # Partition and partition_from_blocks are re-exported from here
 from .model import Partition, UndirectedView, _components, partition_from_blocks
@@ -111,11 +111,11 @@ def modularity(view: UndirectedView, p: Partition) -> float:
 def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> DivisionTrace:
     """Divisive trace of repeated highest-edge-betweenness removals.
 
-    Ties on the betweenness maximum are broken by the lexicographically
-    smallest edge (min endpoint id, then max endpoint id), which makes the
-    trace deterministic. ``stop_at_k`` optionally halts the division once
-    the partition has that many clusters; by default the loop runs until no
-    edges remain.
+    Each component's top edge and the removal among those leaders are both
+    chosen by ``top_k``: highest betweenness, ties to the lexicographically
+    smallest edge, which makes the trace deterministic. ``stop_at_k``
+    optionally halts the division once the partition has that many
+    clusters; by default the loop runs until no edges remain.
     """
     if not view.edges:
         return DivisionTrace(initial=None, steps=())
@@ -129,49 +129,39 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
     initial = scored(blocks)
 
     comp_members = dict(enumerate(sorted(block) for block in blocks))
-    # per-component cache: (max edge betweenness, tie-broken edge)
-    eb_cache: dict[int, tuple[float, tuple[int, int]]] = {}
+    comp_of = {v: cid for cid, members in comp_members.items() for v in members}
+    leaders: dict[tuple[int, int], float] = {}  # each component's top edge and its value
 
-    def refresh(cid: int) -> None:
-        members = comp_members[cid]
-        if not any(adjacency[v] for v in members):
-            eb_cache.pop(cid, None)
-            return
-        eb = _edge_betweenness_subset(members, adjacency)
-        best_edge = min(eb, key=lambda e: (-eb[e], e))
-        eb_cache[cid] = (eb[best_edge], best_edge)
+    def refresh(members: list[int]) -> None:
+        if any(adjacency[v] for v in members):
+            eb = _edge_betweenness_subset(members, adjacency)
+            [edge] = top_k(eb, 1)
+            leaders[edge] = eb[edge]
 
-    for cid in comp_members:
-        refresh(cid)
+    for members in comp_members.values():
+        refresh(members)
 
     steps: list[DivisionStep] = []
     count = len(comp_members)  # component ids are 0..count-1
-    if stop_at_k is not None and count >= stop_at_k:
-        return DivisionTrace(initial=initial, steps=())
-
-    while eb_cache:
-        # (value, -u, -v) is unique per edge, so the component ids never decide
-        target_cid, (_, edge) = max(
-            eb_cache.items(), key=lambda item: (item[1][0], -item[1][1][0], -item[1][1][1])
-        )
+    while leaders and (stop_at_k is None or count < stop_at_k):
+        [edge] = top_k(leaders, 1)
+        del leaders[edge]
         u, v = edge
         adjacency[u].discard(v)
         adjacency[v].discard(u)
 
         # does the component survive the removal?
-        parts = _components(comp_members[target_cid], adjacency)
+        cid = comp_of[u]
+        parts = _components(comp_members[cid], adjacency)
         snapshot: Partition | None = None
-        if len(parts) == 1:
-            refresh(target_cid)
-        else:
-            comp_members[target_cid], comp_members[count] = (sorted(p) for p in parts)
-            refresh(target_cid)
-            refresh(count)
+        if len(parts) > 1:
+            comp_members[cid], comp_members[count] = (sorted(p) for p in parts)
+            comp_of.update(dict.fromkeys(comp_members[count], count))
+            refresh(comp_members[count])
             count += 1
             snapshot = scored([set(ms) for ms in comp_members.values()])
+        refresh(comp_members[cid])
         steps.append(DivisionStep(removed_edge=edge, component_count=count, partition=snapshot))
-        if stop_at_k is not None and count >= stop_at_k:
-            break
     return DivisionTrace(initial=initial, steps=tuple(steps))
 
 

@@ -17,7 +17,7 @@ from cohortnet import (
 )
 from cohortnet.errors import DisconnectedGraph, EmptyEdgeSet, KTooLarge
 
-from conftest import mknet, mkview
+from conftest import mknet, mkview, symmetric_cases, symmetric_network
 from oracles import node_betweenness_brute
 from strategies import directed_networks
 
@@ -166,6 +166,13 @@ class TestRankRepresentatives:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             rank_representatives(mknet([(1, 2)]), 3)
+
+    @pytest.mark.parametrize("name", symmetric_cases(
+        {"heawood", "pappus", "desargues", "moebius_kantor", "cubical", "dodecahedral"}))
+    def test_symmetric_graph_ranks_ascending_ids(self, name):
+        # the float sums pick: heawood [12, 2, 3], pappus [14, 16, 17], desargues [0, 5, 8],
+        # moebius_kantor [0, 1, 3], cubical [1, 2, 3], dodecahedral [5, 10, 2]
+        assert rank_representatives(symmetric_network(name), 3) == [0, 1, 2]
 
     def test_deterministic(self):
         rng = random.Random(42)

@@ -133,6 +133,25 @@ class TestInputHardening:
         assert f"data error: line {line}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: no line locator yet")
+    @pytest.mark.parametrize("source, text, line, message", [
+        ("edges", "source,target\n1,2\n1,2\n", 3,
+         "nomination (1, 2) appears more than once"),
+        ("edges", "source,target\n1,9\n", 2, "edge target 9 is not in the roster"),
+        ("adjacency", ",1,9\n1,0,1\n9,0,0\n", 1, "9 is not in the roster"),
+        ("adjacency", ",1,2,9\n1,0,1,0\n2,0,0,0\n9,0,0,0\n", 1, "9 is not in the roster"),
+    ], ids=["edges-repeated", "edges-target-not-in-roster",
+            "adjacency-header-id-not-in-roster", "adjacency-header-id-without-ties"])
+    def test_refused_tie_names_line(self, tmp_path, capsys, source, text, line, message):
+        (tmp_path / "roster.csv").write_text(ROSTER)
+        (tmp_path / "ties.csv").write_text(text)
+        out = tmp_path / "out"
+        assert main(["ingest", "--roster", str(tmp_path / "roster.csv"), f"--{source}",
+                     str(tmp_path / "ties.csv"), "--out", str(out / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: line {line}: " in err and message in err
+        assert not out.exists()
+
     def test_non_utf8_cohort_exit_2(self, tmp_path):
         (tmp_path / "c.json").write_bytes(b'{"label": "\xff"}')
         assert main(["analyze", str(tmp_path / "c.json"), "--measure", "degree",
@@ -339,6 +358,17 @@ class TestReport:
         code = main(["report", str(cohort), "--semester", "s5",
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_cohort_exit_2_writes_nothing(self, tmp_path, capsys, empty_first):
+        full = path_cohort(tmp_path)
+        empty = write_cohort(tmp_path / "empty.json", [], [])
+        pair = [empty, full] if empty_first else [full, empty]
+        out = tmp_path / "out"
+        assert main(["report", *map(str, pair), "--semester", "s5",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: both groups need at least one mark\n"
+        assert not out.exists()
 
     def test_three_cohorts_usage_error(self, tmp_path):
         a = path_cohort(tmp_path, "a.json")

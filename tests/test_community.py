@@ -14,7 +14,7 @@ from cohortnet import (
 )
 from cohortnet.errors import DataError, EmptyEdgeSet, EmptyTrace, UnassignedNode
 
-from conftest import mkview
+from conftest import mkview, symmetric_cases, symmetric_network
 from oracles import edge_betweenness_brute, modularity_brute
 from strategies import undirected_views
 
@@ -147,6 +147,14 @@ class TestGirvanNewman:
             coarse = {frozenset(b) for b in earlier.clusters()}
             for block in later.clusters():
                 assert any(block <= big for big in coarse)
+
+    @pytest.mark.parametrize("name", symmetric_cases(
+        {"heawood", "pappus", "desargues", "moebius_kantor", "dodecahedral"}))
+    def test_symmetric_graph_first_removal_is_smallest_edge(self, name):
+        # the float sums pick: heawood (3, 12), pappus (12, 17), desargues (0, 19),
+        # moebius_kantor (0, 15), dodecahedral (1, 2)
+        view = symmetrize(symmetric_network(name), SymmetrizeRule.UNION)
+        assert girvan_newman(view, stop_at_k=2).steps[0].removed_edge == (0, 1)
 
     def test_stop_at_k_is_a_prefix(self, barbell_view):
         full = girvan_newman(barbell_view)
