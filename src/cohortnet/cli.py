@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 analysis refusal.
 All artifacts land under the configured output directory with fixed names,
-and identical invocations produce byte-identical files.
+and identical invocations produce byte-identical files. Each command returns
+its stdout text and its files; `main` writes them only after it has returned.
 """
 
 from __future__ import annotations
@@ -179,15 +180,14 @@ def _partition_for(cohort: Cohort, args: argparse.Namespace, cfg: RunConfig) -> 
     return _communities(cohort, cfg)[0]
 
 
-def _write(path: Path, data: bytes | str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    path.write_bytes(data)
-    return path
+Files = dict[Path, bytes | str]
 
 
-def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _wrote(files: Files) -> str:
+    return f"wrote {', '.join(str(p) for p in files)}\n"
+
+
+def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     roster = iof.parse_roster(args.roster.read_bytes())
     if args.edges is not None:
         nominations = iof.parse_edges(args.edges.read_bytes())
@@ -196,23 +196,21 @@ def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.dedupe:  # make_cohort logs each repeated nomination it drops
         _log()
     cohort = make_cohort(roster, nominations, args.label, dedupe=args.dedupe)
-    _write(args.out, iof.save_cohort(cohort))
-    print(f"wrote {args.out} ({len(cohort.students)} students, "
-          f"{len(cohort.network.edges)} ties)")
-    return EXIT_OK
+    return (f"wrote {args.out} ({len(cohort.students)} students, "
+            f"{len(cohort.network.edges)} ties)\n"), {args.out: iof.save_cohort(cohort)}
 
 
-def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     cohort = _load_cohort(args.cohort)
     net = cohort.network
     out = cfg.out_dir
     if args.communities:
         best, curve = _communities(cohort, cfg)
-        _write(out / "modularity_curve.csv", iof.curve_csv(curve))
-        _write(out / "partition.csv", iof.partition_csv(best))
-        print(f"best partition: k={best.k}, Q={best.q:.4f} "
-              f"(wrote {out / 'modularity_curve.csv'}, {out / 'partition.csv'})")
-        return EXIT_OK
+        return (f"best partition: k={best.k}, Q={best.q:.4f} "
+                f"(wrote {out / 'modularity_curve.csv'}, {out / 'partition.csv'})\n"), {
+            out / "modularity_curve.csv": iof.curve_csv(curve),
+            out / "partition.csv": iof.partition_csv(best),
+        }
 
     from .centrality import betweenness, closeness, degree, eigenvector, top_k
 
@@ -227,20 +225,18 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         scores = degree(net)
     for warning in scores.warnings:
         _log().warning("%s", warning)
-    path = _write(out / f"centrality_{measure.value}.csv", iof.scores_csv(scores))
-    written = [path]
+    files: Files = {out / f"centrality_{measure.value}.csv": iof.scores_csv(scores)}
     if args.top is not None:
         if scores.measure is Measure.BETWEENNESS and scores.mode is Mode.DIRECTED:
             directed = scores.scores
         else:
             directed = betweenness(net, Mode.DIRECTED).scores
-        written.append(_write(out / "representatives.csv",
-                              iof.representatives_csv(top_k(directed, args.top), directed)))
-    print(f"wrote {', '.join(str(p) for p in written)}")
-    return EXIT_OK
+        files[out / "representatives.csv"] = iof.representatives_csv(
+            top_k(directed, args.top), directed)
+    return _wrote(files), files
 
 
-def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     from .stats import cluster_performance
 
     cohort = _load_cohort(args.cohort)
@@ -248,15 +244,13 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     marks = _marks_for_all(cohort, semester)
     partition = _partition_for(cohort, args, cfg)
     perfs = cluster_performance(partition, marks, cfg.high_t, cfg.low_t)
-    path = _write(cfg.out_dir / "clusters.csv", iof.clusters_csv(perfs))
-    for c in perfs:
-        print(f"cluster {c.cluster}: size {len(c.members)}, "
-              f"mean {c.mean_mark:.1f}, {c.perf.value}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    files: Files = {cfg.out_dir / "clusters.csv": iof.clusters_csv(perfs)}
+    text = "".join(f"cluster {c.cluster}: size {len(c.members)}, "
+                   f"mean {c.mean_mark:.1f}, {c.perf.value}\n" for c in perfs)
+    return text + _wrote(files), files
 
 
-def _cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     from .intervention import InterventionPolicy, plan_intervention, predicted_group_profile
 
     cohort = _load_cohort(args.cohort)
@@ -267,14 +261,12 @@ def _cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
     plan = plan_intervention(cohort.network, partition, marks, policy)
     profiles = predicted_group_profile(plan, marks)
     report = iof.plan_report(plan, profiles, semester)
-    csv_path = _write(cfg.out_dir / "plan.csv", iof.plan_csv(plan))
-    txt_path = _write(cfg.out_dir / "plan_report.txt", report)
-    print(report, end="")
-    print(f"wrote {csv_path}, {txt_path}")
-    return EXIT_OK
+    files: Files = {cfg.out_dir / "plan.csv": iof.plan_csv(plan),
+                    cfg.out_dir / "plan_report.txt": report}
+    return report + _wrote(files), files
 
 
-def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     from .stats import compare_groups, summarize
 
     if len(args.cohorts) > 2:
@@ -292,18 +284,16 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         summaries = [summarize(mark_lists[0], cfg.bin_width)]
     out = cfg.out_dir
-    written = []
+    files: Files = {}
     for label, summary in zip("ab", summaries):
-        written.append(_write(out / f"summary_{label}.csv", iof.summary_csv(summary)))
-        written.append(_write(out / f"histogram_{label}.csv", iof.histogram_csv(summary)))
+        files[out / f"summary_{label}.csv"] = iof.summary_csv(summary)
+        files[out / f"histogram_{label}.csv"] = iof.histogram_csv(summary)
     text = iof.report_text(summaries[0], "cohort a", comparison, "cohort b")
-    written.append(_write(out / "report.txt", text))
-    print(text, end="")
-    print(f"wrote {', '.join(str(p) for p in written)}")
-    return EXIT_OK
+    files[out / "report.txt"] = text
+    return text + _wrote(files), files
 
 
-def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     cohort = _load_cohort(args.cohort)
     marks = None
     if args.semester is not None:
@@ -312,36 +302,36 @@ def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.partition is not None:
         partition = iof.parse_partition_csv(args.partition.read_bytes())
     fmt = iof.GraphFormat(args.format)
-    data = iof.export_graph(
-        cohort.network, fmt, genders=cohort.genders(), marks=marks, partition=partition
-    )
-    path = _write(cfg.out_dir / f"graph.{fmt.value}", data)
-    print(f"wrote {path}")
-    return EXIT_OK
+    files: Files = {cfg.out_dir / f"graph.{fmt.value}": iof.export_graph(
+        cohort.network, fmt, genders=cohort.genders(), marks=marks, partition=partition)}
+    return _wrote(files), files
 
 
-def _cmd_demo(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_demo(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     from .demo import DEFAULT_SEED, generate_demo_cohort
 
     cohort, planted = generate_demo_cohort(DEFAULT_SEED if args.seed is None else args.seed)
     out = cfg.out_dir
-    written = [
-        _write(out / "roster.csv", iof.export_roster(cohort.students)),
-        _write(out / "edges.csv", iof.export_edges(cohort.network)),
-        _write(out / "cohort.json", iof.save_cohort(cohort)),
-    ]
-    print(f"demo cohort: {len(cohort.students)} students, "
-          f"{len(cohort.network.edges)} ties, {planted.k} planted communities")
-    print(f"wrote {', '.join(str(p) for p in written)}")
-    return EXIT_OK
+    files: Files = {
+        out / "roster.csv": iof.export_roster(cohort.students),
+        out / "edges.csv": iof.export_edges(cohort.network),
+        out / "cohort.json": iof.save_cohort(cohort),
+    }
+    return (f"demo cohort: {len(cohort.students)} students, "
+            f"{len(cohort.network.edges)} ties, {planted.k} planted communities\n"
+            + _wrote(files)), files
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return args.func(args, cfg)
+        text, files = args.func(args, _config_from_args(args))
+        for path, data in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        print(text, end="")
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -73,10 +73,35 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _rows(data: bytes | str) -> list[tuple[int, list[str]]]:
-    """CSV rows with their 1-based line numbers; blank lines are skipped."""
+def _table(
+    data: bytes | str, name: str, expected: list[str] | None = None, *, prefix: bool = False
+) -> tuple[int, list[str], Iterator[tuple[int, list[str]]]]:
+    """The header's line, the header, and the body rows with 1-based lines, blanks skipped.
+
+    `expected` is the exact header, or its first columns when `prefix` is set.
+    """
     reader = csv.reader(_text(data).splitlines())
-    return [(i, row) for i, row in enumerate(reader, start=1) if row]
+    rows = ((i, row) for i, row in enumerate(reader, start=1) if row)
+    header_line, header = next(rows, (1, None))
+    if header is None:
+        raise BadHeader(f"empty {name} file", line=1)
+    if expected and (header[:len(expected)] if prefix else header) != expected:
+        raise BadHeader(
+            f"expected header {'starting with ' if prefix else ''}{','.join(expected)!r}, "
+            f"got {','.join(header)!r}",
+            line=header_line,
+        )
+    return header_line, header, rows
+
+
+def _fields(
+    rows: Iterable[tuple[int, list[str]]], width: int, error: type[DataError] = DataError
+) -> Iterator[tuple[int, list[str]]]:
+    """The rows, each checked to hold `width` fields as the caller reaches it."""
+    for line, row in rows:
+        if len(row) != width:
+            raise error(f"expected {width} fields, got {len(row)}", line=line)
+        yield line, row
 
 
 def _parse_id(cell: str, line: int) -> int:
@@ -97,15 +122,7 @@ def _parse_id(cell: str, line: int) -> int:
 
 def parse_roster(data: bytes | str) -> list[Student]:
     """Parse `id,gender,mark_<semester>...` rows into students."""
-    rows = _rows(data)
-    if not rows:
-        raise BadHeader("empty roster file", line=1)
-    header_line, header = rows[0]
-    if len(header) < 2 or header[0] != "id" or header[1] != "gender":
-        raise BadHeader(
-            f"expected header starting with 'id,gender', got {','.join(header)!r}",
-            line=header_line,
-        )
+    header_line, header, body = _table(data, "roster", ["id", "gender"], prefix=True)
     semesters = []
     for col in header[2:]:
         if not col.startswith(MARK_COLUMN_PREFIX) or col == MARK_COLUMN_PREFIX:
@@ -117,11 +134,7 @@ def parse_roster(data: bytes | str) -> list[Student]:
 
     students: list[Student] = []
     seen: set[int] = set()
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} fields, got {len(row)}", line=line
-            )
+    for line, row in _fields(body, len(header)):
         sid = _parse_id(row[0], line)
         if sid in seen:
             raise DuplicateId(f"duplicate student id {sid}", line=line)
@@ -163,19 +176,9 @@ def export_roster(students: Sequence[Student]) -> bytes:
 
 def parse_edges(data: bytes | str) -> list[tuple[int, int]]:
     """Parse `source,target` rows into a directed nomination list."""
-    rows = _rows(data)
-    if not rows:
-        raise BadHeader("empty edge file", line=1)
-    header_line, header = rows[0]
-    if header != ["source", "target"]:
-        raise BadHeader(
-            f"expected header 'source,target', got {','.join(header)!r}",
-            line=header_line,
-        )
+    _, _, body = _table(data, "edge", ["source", "target"])
     edges = []
-    for line, row in rows[1:]:
-        if len(row) != 2:
-            raise DataError(f"expected 2 fields, got {len(row)}", line=line)
+    for line, row in _fields(body, 2):
         src = _parse_id(row[0], line)
         tgt = _parse_id(row[1], line)
         if src == tgt:
@@ -192,25 +195,20 @@ def export_edges(net: FriendshipNetwork) -> bytes:
 
 def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
     """Parse a square 0/1 matrix; entry (r, c) = 1 yields the edge (r, c)."""
-    rows = _rows(data)
-    if not rows:
-        raise BadHeader("empty adjacency file", line=1)
-    header_line, header = rows[0]
+    header_line, header, rows = _table(data, "adjacency")
     if len(header) < 2:
         raise BadHeader("adjacency header needs at least one id column", line=header_line)
     ids = [_parse_id(cell, header_line) for cell in header[1:]]
     if len(set(ids)) != len(ids):
         raise BadHeader("duplicate id in adjacency header", line=header_line)
     n = len(ids)
-    body = rows[1:]
+    body = list(rows)
     if len(body) != n:
         raise NonSquareMatrix(
             f"{n} id columns but {len(body)} data rows", line=body[-1][0] if body else header_line
         )
     edges = []
-    for pos, (line, row) in enumerate(body):
-        if len(row) != n + 1:
-            raise NonSquareMatrix(f"expected {n + 1} fields, got {len(row)}", line=line)
+    for pos, (line, row) in enumerate(_fields(body, n + 1, NonSquareMatrix)):
         row_id = _parse_id(row[0], line)
         if row_id != ids[pos]:
             raise BadHeader(
@@ -338,6 +336,13 @@ def export_graph(
     node properties and leaves styling to the renderer.
     """
     check_coverage(net, partition, marks)
+    if fmt is GraphFormat.DOT:  # UTF-8 cannot encode a lone surrogate
+        bad = [c for c in net.label if "\ud800" <= c <= "\udfff"]
+    else:  # XML 1.0 Char
+        bad = [c for c in net.label if not (c in "\t\n\r" or " " <= c <= "\ud7ff"
+                                            or "\ue000" <= c <= "\ufffd" or c >= "\U00010000")]
+    if bad:
+        raise DataError(f"label {net.label!r}: {fmt.value} cannot carry {bad[0]!r}")
     if fmt is GraphFormat.DOT:
         return _export_dot(net, genders, marks, partition)
     return _export_graphml(net, genders, marks, partition)
@@ -433,24 +438,15 @@ def partition_csv(p: Partition) -> bytes:
 
 def parse_partition_csv(data: bytes | str) -> Partition:
     """Read a node,cluster table; cluster labels are renumbered densely."""
-    rows = _rows(data)
-    if not rows:
-        raise BadHeader("empty partition file", line=1)
-    header_line, header = rows[0]
-    if header != ["node", "cluster"]:
-        raise BadHeader(
-            f"expected header 'node,cluster', got {','.join(header)!r}", line=header_line
-        )
+    header_line, _, body = _table(data, "partition", ["node", "cluster"])
     raw: dict[int, int] = {}
-    for line, row in rows[1:]:
-        if len(row) != 2:
-            raise DataError(f"expected 2 fields, got {len(row)}", line=line)
+    for line, row in _fields(body, 2):
         node = _parse_id(row[0], line)
         if node in raw:
             raise DuplicateId(f"node {node} assigned twice", line=line)
         raw[node] = _parse_id(row[1], line)
     if not raw:
-        raise DataError("partition file has no assignments")
+        raise DataError("partition file has no assignments", line=header_line)
     dense = {cid: i for i, cid in enumerate(sorted(set(raw.values())))}
     return Partition(assignment={v: dense[c] for v, c in raw.items()}, k=len(dense))
 

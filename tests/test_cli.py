@@ -111,11 +111,14 @@ class TestInputHardening:
         ("partition", "", 1),
         ("partition", "node,cluster\n1\n", 2),
         ("partition", "id,cluster\n1,0\n", 1),
+        ("partition", "node,cluster\n", 1),
+        ("adjacency", "x\n", 1),
     ], ids=[
         "roster-empty", "roster-duplicate-mark-column", "roster-field-count",
         "roster-mark-abc", "edges-empty", "edges-field-count", "adjacency-empty",
         "adjacency-duplicate-header-id", "adjacency-row-out-of-order", "partition-empty",
-        "partition-field-count", "partition-header",
+        "partition-field-count", "partition-header", "partition-header-only",
+        "adjacency-no-id-column",
     ])
     def test_malformed_file_exit_2_with_line(self, tmp_path, capsys, kind, text, line):
         paths = {}
@@ -150,6 +153,32 @@ class TestInputHardening:
                      str(tmp_path / "ties.csv"), "--out", str(out / "c.json")]) == 2
         err = capsys.readouterr().err
         assert f"data error: line {line}: " in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("top", ["0", "1000"])
+    def test_refused_command_writes_nothing(self, tmp_path, capsys, top):
+        out = tmp_path / "out"
+        assert main(["analyze", str(path_cohort(tmp_path)), "--measure", "degree",
+                     "--top", top, "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("analysis refused: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label, fmt", [
+        ("\udcff", "dot"), ("\ud800", "dot"), ("\udcff", "graphml"), ("a\x01b", "graphml"),
+    ], ids=["dot-surrogate-from-argv", "dot-surrogate-from-cohort-file", "graphml-surrogate",
+            "graphml-control-character"])
+    def test_unwritable_label_refused(self, tmp_path, capsys, label, fmt):
+        cohort = tmp_path / "c.json"
+        if label == "\ud800":  # the cohort file holds "label": "\ud800"
+            cohort.write_text(path_cohort(tmp_path).read_text().replace('"t"', '"\\ud800"'))
+        else:  # `ingest --label $'\xff'` reaches argv as "\udcff"
+            (tmp_path / "r.csv").write_text(ROSTER)
+            (tmp_path / "e.csv").write_text(EDGES)
+            assert main(["ingest", "--roster", str(tmp_path / "r.csv"), "--edges",
+                         str(tmp_path / "e.csv"), "--label", label, "--out", str(cohort)]) == 0
+        out = tmp_path / "out"
+        assert main(["export", str(cohort), "--format", fmt, "--out-dir", str(out)]) == 2
+        assert f"{fmt} cannot carry" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_utf8_cohort_exit_2(self, tmp_path):
@@ -302,13 +331,14 @@ class TestClassifyAndPlan:
     def test_keep_low_subgroups_from_config_file(self, tmp_path):
         cohort, partition = self.plan_inputs(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("keep_low_subgroups=no\n")
-        out = tmp_path / "out"
-        assert main(["plan", str(cohort), "--partition", str(partition), "--max-group", "6",
-                     "--config", str(cfg), "--out-dir", str(out)]) == 0
-        rows = (out / "plan.csv").read_text().splitlines()
-        # singletons: 7 goes to group 0, then 8 to group 1, now the smaller one
-        assert rows[-2:] == ["7,0,dispersed", "8,1,dispersed"]
+        # as singletons, 7 goes to group 0, then 8 to group 1, now the smaller one
+        singletons, pair = ["7,0,dispersed", "8,1,dispersed"], ["7,0,dispersed", "8,0,dispersed"]
+        for spelling, tail in [("no", singletons), ("true", pair), ("yes", pair), ("1", pair)]:
+            cfg.write_text(f"keep_low_subgroups={spelling}\n")
+            out = tmp_path / f"out_{spelling}"
+            assert main(["plan", str(cohort), "--partition", str(partition), "--max-group",
+                         "6", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            assert (out / "plan.csv").read_text().splitlines()[-2:] == tail
 
     def test_group_bounds_notes_on_demo(self, tmp_path):
         assert main(["demo", "--out-dir", str(tmp_path)]) == 0

@@ -100,6 +100,12 @@ class TestPlanExamples:
         assert profiles[0].mean_mark == pytest.approx((80 + 82 + 78 + 50 + 52) / 5)
         assert profiles[1].dispersed == 0
 
+    def test_profile_missing_mark(self):
+        plan = plan_intervention(*example_case(keep=True))
+        marks = {v: m for v, m in example_case(keep=True)[2].items() if v != 7}
+        with pytest.raises(MissingMark, match="node 7 has no mark"):
+            predicted_group_profile(plan, marks)
+
     def test_profile_simple_mean(self):
         net = mknet([], nodes={1, 2})
         p = Partition(assignment={1: 0, 2: 1}, k=2)

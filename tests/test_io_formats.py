@@ -224,6 +224,25 @@ class TestGraphExport:
         assert dot_unquote(tokens[1]) == label
         assert tokens[3:-1] == ["1", ";", "2", ";", "1", "->", "2", ";"]
 
+    @given(st.text())
+    def test_graphml_label_is_the_graph_id(self, label):
+        net = mknet([(1, 2)], label=label)
+        try:
+            data = export_graph(net, GraphFormat.GRAPHML)
+        except DataError:
+            return
+        graph = ET.fromstring(data).find("{http://graphml.graphdrawing.org/xmlns}graph")
+        assert graph.get("id") == label
+
+    @pytest.mark.parametrize("fmt", list(GraphFormat))
+    def test_label_format_cannot_carry_refused(self, fmt):
+        labels = ["\ud800", "x\udcff"]
+        if fmt is GraphFormat.GRAPHML:
+            labels += ["\x00", "a\x01", "\ufffe"]
+        for label in labels:
+            with pytest.raises(DataError, match=f"{fmt.value} cannot carry"):
+                export_graph(mknet([(1, 2)], label=label), fmt)
+
     def test_dot_label_injection_escaped(self):
         net = mknet([(1, 2)], label='x"]; evil \\')
         first = export_graph(net, GraphFormat.DOT).decode().splitlines()[0]

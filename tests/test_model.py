@@ -52,8 +52,10 @@ class TestBuildNetwork:
         assert any("duplicate nomination" in r.message for r in caplog.records)
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(UnknownId):
+        with pytest.raises(UnknownId, match="edge target 9 is not in the roster"):
             build_network(roster(1, 2), [(1, 9)], "t")
+        with pytest.raises(UnknownId, match="edge source 9 is not in the roster"):
+            build_network(roster(1, 2), [(9, 1)], "t")
 
     def test_duplicate_roster_id_rejected(self):
         with pytest.raises(DuplicateId):
