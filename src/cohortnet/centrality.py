@@ -22,7 +22,7 @@ import signal
 import threading
 from array import array
 from collections.abc import Callable, Iterable, Mapping
-from typing import BinaryIO, NamedTuple, TypeVar
+from typing import NamedTuple, TypeVar
 
 from .errors import DisconnectedGraph, EmptyEdgeSet, KTooLarge, NoConvergence
 from .model import (
@@ -39,9 +39,9 @@ POWER_ITERATION_CAP = 1000
 # A forked worker costs more than it saves on a block of fewer BFS sources,
 # so a pass forks only from 2 * FORK_MIN_BLOCK sources on.
 FORK_MIN_BLOCK = 64
-# Every child holds its whole block of rows until the parent reads it, so the
-# children together hold up to n_sources * width doubles. A pass whose rows
-# exceed this many bytes runs on one CPU, in memory linear in width.
+# The children write their rows into one in-memory file that lives until the
+# pass ends, up to n_sources * width doubles. A pass whose rows exceed this
+# many bytes runs on one CPU, in memory linear in width.
 FORK_MAX_ROW_BYTES = 32 << 20
 CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"  # cgroup v2 CPU quota, read by _usable_cpus
 _Key = TypeVar("_Key", int, tuple[int, int])  # what top_k ranks: a node id or an edge
@@ -116,36 +116,6 @@ def _usable_cpus() -> int:
         return cpus
 
 
-def _fork_block(row_of: Callable[[int], list[float]], lo: int, hi: int) -> tuple[int, BinaryIO]:
-    """Fork a child that writes rows lo .. hi-1 to a pipe as raw doubles.
-
-    Returns the child's pid and the read end. The child never returns: it
-    exits 0 once every row is written, and 1 if anything fails.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            rows = array("d")
-            for s in range(lo, hi):
-                rows.fromlist(row_of(s))
-            data = memoryview(rows).cast("B")
-            while data:
-                data = data[os.write(write_fd, data):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
 def _fold_sources(
     n_sources: int, width: int, row_of: Callable[[int], list[float]]
 ) -> list[float]:
@@ -153,46 +123,56 @@ def _fold_sources(
 
     Every entry receives the same additions in the same order however the
     rows are computed, so the result is bit-for-bit that of a serial loop.
-    With more than one usable CPU, ``os.fork``, no other thread alive and
-    at most FORK_MAX_ROW_BYTES of rows, the sources are cut into contiguous
-    blocks, one per CPU but none under FORK_MIN_BLOCK sources, and every
-    block but the first goes to a forked child. The parent computes the
-    first block, then folds each child's rows in block order; rows a child
-    did not deliver it computes itself.
+    With more than one usable CPU, ``os.memfd_create``, no other thread
+    alive and at most FORK_MAX_ROW_BYTES of rows, the sources are cut into
+    contiguous blocks, one per CPU but none under FORK_MIN_BLOCK sources.
+    Forked children write every block but the first into one in-memory file,
+    row s at byte 8 * width * s; the parent computes the first block, then
+    folds the others in order, recomputing any block whose child failed.
     """
-    add = operator.add
     acc = [0.0] * width
+    row_bytes = 8 * width
     workers = 1
-    if (0 < 8 * n_sources * width <= FORK_MAX_ROW_BYTES and hasattr(os, "fork")
+    if (0 < row_bytes * n_sources <= FORK_MAX_ROW_BYTES and hasattr(os, "memfd_create")
             and threading.active_count() == 1):
         workers = max(1, min(_usable_cpus(), n_sources // FORK_MIN_BLOCK))
-    bounds = [n_sources * k // workers for k in range(workers + 1)]
-    blocks: list[tuple[int | None, int, int]] = [(None, bounds[0], bounds[1])]
-    live: dict[int, BinaryIO] = {}  # children not yet reaped -> read end of their pipe
+    fd = -1
+    live: set[int] = set()  # children not yet reaped
     try:
+        try:
+            fd = os.memfd_create("cohortnet-rows") if workers > 1 else -1
+        except OSError:  # no in-memory file (EMFILE, ENOMEM): stay on one CPU
+            workers = 1
+        bounds = [n_sources * k // workers for k in range(workers + 1)]
+        blocks = [(0, bounds[0], bounds[1])]  # (pid, lo, hi); pid 0: no child
         for lo, hi in zip(bounds[1:], bounds[2:]):
             try:
-                pid, pipe = _fork_block(row_of, lo, hi)
-                live[pid] = pipe
+                pid = os.fork()
             except OSError:  # no child: the parent computes this block as well
-                pid = None
+                blocks.append((0, lo, hi))
+                continue
+            if pid == 0:  # exit 1 at the first short write, 0 once every row is written
+                try:
+                    os._exit(any(os.pwrite(fd, array("d", row_of(s)), row_bytes * s) != row_bytes
+                                 for s in range(lo, hi)))
+                finally:  # row_of or pwrite raised
+                    os._exit(1)
+            live.add(pid)
             blocks.append((pid, lo, hi))
-        row = array("d", bytes(8 * width))
+        row = array("d", bytes(row_bytes))
         for pid, lo, hi in blocks:
-            if pid is not None:
-                with live[pid] as pipe:
-                    while lo < hi and pipe.readinto(row) == 8 * width:
-                        acc = list(map(add, acc, row))
-                        lo += 1
-                os.waitpid(pid, 0)
-                del live[pid]
-            for s in range(lo, hi):  # the parent's block, or rows its child did not deliver
-                acc = list(map(add, acc, row_of(s)))
-    finally:  # interrupted or failed: leave no child behind
-        for pid, pipe in live.items():
-            pipe.close()
+            delivered = pid in live and os.waitpid(pid, 0)[1] == 0
+            live.discard(pid)
+            for s in range(lo, hi):  # the parent's block, or one whose child failed
+                if delivered:
+                    os.preadv(fd, [row], row_bytes * s)
+                acc = list(map(operator.add, acc, row if delivered else row_of(s)))
+    finally:  # interrupted or failed: leave no child and no file behind
+        for pid in live:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if fd >= 0:
+            os.close(fd)
     return acc
 
 

@@ -80,8 +80,7 @@ def _table(
 
     `expected` is the exact header, or its first columns when `prefix` is set.
     """
-    reader = csv.reader(_text(data).splitlines())
-    rows = ((i, row) for i, row in enumerate(reader, start=1) if row)
+    rows = _records(_text(data))
     header_line, header = next(rows, (1, None))
     if header is None:
         raise BadHeader(f"empty {name} file", line=1)
@@ -92,6 +91,19 @@ def _table(
             line=header_line,
         )
     return header_line, header, rows
+
+
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Non-blank CSV records and the line each starts on; a quoted cell may span lines."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line = 1
+    try:
+        for row in reader:
+            if row:
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(str(exc), line=line) from None
 
 
 def _fields(

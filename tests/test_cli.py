@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortnet import Gender, Student, make_cohort
 from cohortnet.cli import main
@@ -80,6 +84,24 @@ class TestIngest:
         assert (tmp_path / "c.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
+# Whole rows that parse, so some generated files are accepted, and fragments
+# that break them: quotes, each line ending, NUL, U+2028, invalid UTF-8.
+_CSV_PIECES = [
+    b"1,M,50\n", b"2,F,\n", b"3,U,100\n", b"1,2\n", b"2,3\n", b"3,1\n",
+    b"1,0,1,0\n", b"2,0,0,1\n", b"3,1,0,0\n", b"1", b"2", b"0", b"007", b"-1", b"M", b"X",
+    b"55.5", b"", b",", b"\n", b"\r", b"\r\n", b'"', b'""', b"\x00", "\u2028".encode(),
+    b"\xff", b"\xc3", b" ", b"mark_s5",
+]
+
+
+def _csv_bytes(header):
+    """CSV-like bytes: usually `header`, then pieces of rows, whole and broken."""
+    return st.tuples(
+        st.sampled_from([header, header, b"", header[:-1], header + b",x"]),
+        st.lists(st.sampled_from(_CSV_PIECES), max_size=30),
+    ).map(lambda parts: parts[0] + b"".join(parts[1]))
+
+
 class TestInputHardening:
     def test_non_utf8_roster_exit_2_with_offset(self, tmp_path, capsys):
         (tmp_path / "r.csv").write_bytes(b"id,gender,mark_s5\n1,M,\xff50\n")
@@ -113,12 +135,16 @@ class TestInputHardening:
         ("partition", "id,cluster\n1,0\n", 1),
         ("partition", "node,cluster\n", 1),
         ("adjacency", "x\n", 1),
+        ("roster", "id,gender,mark_s5\n1,M," + "5" * 200_000 + "\n", 2),
+        ("roster", 'id,gender,mark_s5\n"1\n2",M,50\n', 2),
+        ("roster", 'id,gender,"mark_s\n5"\n1,M,50\n2,X,40\n', 4),
     ], ids=[
         "roster-empty", "roster-duplicate-mark-column", "roster-field-count",
         "roster-mark-abc", "edges-empty", "edges-field-count", "adjacency-empty",
         "adjacency-duplicate-header-id", "adjacency-row-out-of-order", "partition-empty",
         "partition-field-count", "partition-header", "partition-header-only",
-        "adjacency-no-id-column",
+        "adjacency-no-id-column", "roster-cell-over-field-limit", "roster-quoted-id-spans-lines",
+        "roster-line-after-multiline-header",
     ])
     def test_malformed_file_exit_2_with_line(self, tmp_path, capsys, kind, text, line):
         paths = {}
@@ -154,6 +180,21 @@ class TestInputHardening:
         err = capsys.readouterr().err
         assert f"data error: line {line}: " in err and message in err
         assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(roster=_csv_bytes(b"id,gender,mark_s5\n"), ties=_csv_bytes(b"source,target\n"),
+           matrix=_csv_bytes(b",1,2,3\n"), use_matrix=st.booleans())
+    def test_ingest_of_any_bytes_exits_cleanly(self, roster, ties, matrix, use_matrix):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "roster.csv").write_bytes(roster)
+            (d / "ties.csv").write_bytes(matrix if use_matrix else ties)
+            out = d / "out"
+            code = main(["ingest", "--roster", str(d / "roster.csv"),
+                         "--adjacency" if use_matrix else "--edges", str(d / "ties.csv"),
+                         "--out", str(out / "c.json")])
+            assert code in (0, 1, 2, 3)
+            assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("top", ["0", "1000"])
     def test_refused_command_writes_nothing(self, tmp_path, capsys, top):

@@ -81,6 +81,13 @@ class TestRoster:
     def test_crlf_tolerated(self):
         assert parse_roster(ROSTER.replace("\n", "\r\n")) == parse_roster(ROSTER)
 
+    def test_lines_end_only_at_lf_crlf_or_cr(self):
+        assert parse_edges("source,target\r1,2\r\n2,1\n") == [(1, 2), (2, 1)]
+        for sep in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"):
+            with pytest.raises(DataError) as err:
+                parse_edges(f"source,target\n1,2{sep}2,1\n")
+            assert err.value.line == 2
+
     def test_empty_cell_is_absent_mark(self):
         students = parse_roster("id,gender,mark_s5,mark_s6\n1,U,,70\n")
         assert students[0].marks == {"s6": 70.0}

@@ -5,7 +5,9 @@ optimized or rewritten. Every comparison is exact: a change that reorders a
 floating-point addition fails here, even when the change is in the last bit.
 """
 
+import errno
 import os
+import signal
 import threading
 from contextlib import contextmanager
 
@@ -318,41 +320,91 @@ _nodes, _edges = planted_community_edges(seed=402, n=160)
 PLANTED = symmetrize(mknet(_edges, _nodes), SymmetrizeRule.UNION)
 
 
-def _in_child_write(misbehave):
-    """An ``os.write`` that calls ``misbehave(fd, data)`` in forked children only."""
-    parent, real_write = os.getpid(), os.write
+def _in_child_pwrite(misbehave):
+    """An ``os.pwrite`` that hands every row write to
+    ``misbehave(real_pwrite, fd, data, offset, earlier)``. Only forked children
+    write rows, and each counts its ``earlier`` writes in its own copy of ``calls``."""
+    real_pwrite, calls = os.pwrite, []
 
-    def write(fd, data):
-        if os.getpid() == parent:
-            return real_write(fd, data)
-        return misbehave(real_write, fd, data)
+    def pwrite(fd, data, offset):
+        calls.append(offset)
+        return misbehave(real_pwrite, fd, data, offset, len(calls) - 1)
 
-    return write
+    return pwrite
 
 
-def _exit_before_writing(real_write, fd, data):
+def _exit_at_first_row(real_pwrite, fd, data, offset, earlier):
     os._exit(1)
 
 
-def _write_half_then_exit(real_write, fd, data):
-    data = memoryview(data)[: len(data) // 2]  # cuts a row short as well
-    while data:
-        data = data[real_write(fd, data):]
-    os._exit(1)
+def _exit_mid_block(real_pwrite, fd, data, offset, earlier):
+    if earlier == 3:
+        os._exit(1)
+    return real_pwrite(fd, data, offset)
+
+
+def _write_half_rows(real_pwrite, fd, data, offset, earlier):
+    return real_pwrite(fd, memoryview(data).cast("B")[: 4 * len(data)], offset)
+
+
+def _kill_self(real_pwrite, fd, data, offset, earlier):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 @CPUS
-@pytest.mark.parametrize("misbehave", [_exit_before_writing, _write_half_then_exit])
+@pytest.mark.parametrize(
+    "misbehave", [_exit_at_first_row, _exit_mid_block, _write_half_rows, _kill_self]
+)
 def test_failed_children_change_nothing(monkeypatch, cpus, misbehave):
     expected_edges = edge_betweenness_subset_ref(sorted(PLANTED.nodes), PLANTED.adjacency)
     net = mknet(sorted(PLANTED.edges), PLANTED.nodes)
     expected_nodes = _betweenness_ref(net, Mode.DIRECTED)
-    monkeypatch.setattr(os, "write", _in_child_write(misbehave))
+    monkeypatch.setattr(os, "pwrite", _in_child_pwrite(misbehave))
     with forking(cpus) as forks:
         assert edge_betweenness(PLANTED) == expected_edges
         assert betweenness(net, Mode.DIRECTED).scores == expected_nodes
     assert len(forks) == 2 * (cpus - 1)
     assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_file_descriptor_left(monkeypatch):
+    parent = os.getpid()
+
+    def row_of(s):
+        return [1.0, float(s)]
+
+    def interrupted(s):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return row_of(s)
+
+    before = len(os.listdir("/proc/self/fd"))
+    with forking(2) as forks:
+        assert centrality._fold_sources(300, 2, row_of) == [300.0, 44850.0]
+        monkeypatch.setattr(os, "pwrite", _in_child_pwrite(_exit_at_first_row))
+        assert centrality._fold_sources(300, 2, row_of) == [300.0, 44850.0]
+        with pytest.raises(KeyboardInterrupt):
+            centrality._fold_sources(300, 2, interrupted)
+    assert len(forks) == 3
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("memfd", ["raises", "missing"])
+def test_no_in_memory_file_stays_on_one_cpu(monkeypatch, memfd):
+    def no_memfd(*args):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    if memfd == "raises":
+        monkeypatch.setattr(os, "memfd_create", no_memfd)
+    else:
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+    with forking(3, fork=_refuse_fork) as forks:
+        assert edge_betweenness(PLANTED) == edge_betweenness_subset_ref(
+            sorted(PLANTED.nodes), PLANTED.adjacency
+        )
+    assert forks == []
 
 
 def test_failed_fork_computes_in_the_parent():
