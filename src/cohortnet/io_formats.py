@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -58,7 +59,9 @@ def _text(data: bytes | str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # LF, CRLF and a lone CR each end one line, as in _records
+        before = data[:exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         raise DataError(
             f"byte offset {exc.start}: 0x{data[exc.start]:02x} is not valid UTF-8", line=line
         ) from None
@@ -205,6 +208,9 @@ def export_edges(net: FriendshipNetwork) -> bytes:
 
 # -- adjacency matrix ---------------------------------------------------------
 
+_BINARY = frozenset(("0", "1"))
+
+
 def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
     """Parse a square 0/1 matrix; entry (r, c) = 1 yields the edge (r, c)."""
     header_line, header, rows = _table(data, "adjacency")
@@ -227,15 +233,18 @@ def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
                 f"row label {row_id} does not match header order (expected {ids[pos]})",
                 line=line,
             )
-        for col, cell in enumerate(row[1:]):
-            if cell not in ("0", "1"):
-                raise NonBinaryEntry(
-                    f"column {col + 2}: entry {cell!r} is not 0 or 1", line=line
-                )
+        cells = row[1:]  # the diagonal is column pos: row_id == ids[pos] and ids are unique
+        if not _BINARY.issuperset(cells) or cells[pos] == "1":
+            col, cell = next((col, cell) for col, cell in enumerate(cells)
+                             if cell not in _BINARY or col == pos and cell == "1")
             if cell == "1":
-                if ids[col] == row_id:
-                    raise SelfLoopEntry(f"diagonal entry for id {row_id} is 1", line=line)
-                edges.append((row_id, ids[col]))
+                raise SelfLoopEntry(f"diagonal entry for id {row_id} is 1", line=line)
+            raise NonBinaryEntry(f"column {col + 2}: entry {cell!r} is not 0 or 1", line=line)
+        bits = "".join(cells)  # one character per column
+        col = bits.find("1")
+        while col != -1:
+            edges.append((row_id, ids[col]))
+            col = bits.find("1", col + 1)
     return edges
 
 
@@ -250,24 +259,51 @@ def export_adjacency(net: FriendshipNetwork) -> bytes:
 
 # -- cohort container ---------------------------------------------------------
 
+def _json_num(x: object) -> str:
+    """A number as json.dumps writes it; repr is the same for an int or a finite float."""
+    if type(x) is int or type(x) is float and math.isfinite(x):
+        return repr(x)
+    return json.dumps(x)
+
+
+_JSON_GENDER = {g: json.dumps(g.value) for g in Gender}
+
+
+def _json_block(items: Iterable[str], brackets: str, indent: str) -> str:
+    """A JSON list or object whose items each start on a new, indented line; `[]` or
+    `{}` when empty. The closing bracket goes on its own line at `indent`."""
+    body = ",".join(items)
+    return f"{brackets[0]}{body}\n{indent}{brackets[1]}" if body else brackets
+
+
 def save_cohort(cohort: Cohort) -> bytes:
-    doc = {
-        "label": cohort.network.label,
-        "students": [
-            {
-                "id": s.id,
-                "gender": s.gender.value,
-                "marks": {sem: s.marks[sem] for sem in sorted(s.marks)},
-            }
-            for s in sorted(cohort.students, key=lambda s: s.id)
-        ],
-        "edges": [list(e) for e in sorted(cohort.network.edges)],
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """The bytes of json.dumps(doc, indent=2, sort_keys=True) plus a newline, built
+    directly: json's indent encoder is pure Python and took most of the write."""
+    students = sorted(cohort.students, key=lambda s: s.id)
+    keys = {sem: json.dumps(sem) for s in students for sem in s.marks}
+    rows = (
+        f'\n    {{\n      "gender": {_JSON_GENDER[s.gender]},\n      "id": {_json_num(s.id)},'
+        '\n      "marks": ' + _json_block(
+            (f"\n        {keys[sem]}: {_json_num(s.marks[sem])}" for sem in sorted(s.marks)),
+            "{}", "      ",
+        ) + "\n    }"
+        for s in students
+    )
+    edges = (
+        f"\n    [\n      {_json_num(src)},\n      {_json_num(tgt)}\n    ]"
+        for src, tgt in sorted(cohort.network.edges)
+    )
+    return (
+        f'{{\n  "edges": {_json_block(edges, "[]", "  ")},'
+        f'\n  "label": {json.dumps(cohort.network.label)},'
+        f'\n  "students": {_json_block(rows, "[]", "  ")}\n}}\n'
+    ).encode("utf-8")
 
 
 def _json_id(value: object) -> int:
     """An id from a cohort file; strings, bools and fractional numbers are refused."""
+    if type(value) is int:  # never a bool: type(True) is bool
+        return value
     if isinstance(value, (str, bool)) or (isinstance(value, float) and not value.is_integer()):
         raise InvalidId(f"cohort file: id {value!r} is not an integer")
     return int(value)  # type: ignore[call-overload]

@@ -6,11 +6,13 @@ list in exact rational arithmetic. These deliberately share no code with
 the fast paths they check. The frozen references at the end are copies of
 earlier library loops, kept so optimized code can be held to exact equality;
 the division-loop copy builds the library's result types so whole traces
-compare with ==.
+compare with ==, and the matrix-parser copy reads its table with the
+library's own CSV reader, so that only the cell checks differ.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import deque
@@ -24,7 +26,14 @@ from cohortnet import (
     modularity,
     partition_from_blocks,
 )
-from cohortnet.errors import EmptyTrace
+from cohortnet.errors import (
+    BadHeader,
+    EmptyTrace,
+    NonBinaryEntry,
+    NonSquareMatrix,
+    SelfLoopEntry,
+)
+from cohortnet.io_formats import _fields, _parse_id, _table
 
 
 def enumerate_geodesics(nodes, succ, s, t):
@@ -429,3 +438,54 @@ def best_partition_ref(view, trace, k_max=15):
             best = p
     curve = ModularityCurve(points=tuple((p.k, p.q) for p in snaps))  # type: ignore[misc]
     return best, curve
+
+
+def parse_adjacency_ref(data):
+    """The matrix parser that checks every cell in turn, column by column."""
+    header_line, header, rows = _table(data, "adjacency")
+    if len(header) < 2:
+        raise BadHeader("adjacency header needs at least one id column", line=header_line)
+    ids = [_parse_id(cell, header_line) for cell in header[1:]]
+    if len(set(ids)) != len(ids):
+        raise BadHeader("duplicate id in adjacency header", line=header_line)
+    n = len(ids)
+    body = list(rows)
+    if len(body) != n:
+        raise NonSquareMatrix(
+            f"{n} id columns but {len(body)} data rows", line=body[-1][0] if body else header_line
+        )
+    edges = []
+    for pos, (line, row) in enumerate(_fields(body, n + 1, NonSquareMatrix)):
+        row_id = _parse_id(row[0], line)
+        if row_id != ids[pos]:
+            raise BadHeader(
+                f"row label {row_id} does not match header order (expected {ids[pos]})",
+                line=line,
+            )
+        for col, cell in enumerate(row[1:]):
+            if cell not in ("0", "1"):
+                raise NonBinaryEntry(
+                    f"column {col + 2}: entry {cell!r} is not 0 or 1", line=line
+                )
+            if cell == "1":
+                if ids[col] == row_id:
+                    raise SelfLoopEntry(f"diagonal entry for id {row_id} is 1", line=line)
+                edges.append((row_id, ids[col]))
+    return edges
+
+
+def save_cohort_ref(cohort):
+    """The cohort file as json's own indent encoder writes it."""
+    doc = {
+        "label": cohort.network.label,
+        "students": [
+            {
+                "id": s.id,
+                "gender": s.gender.value,
+                "marks": {sem: s.marks[sem] for sem in sorted(s.marks)},
+            }
+            for s in sorted(cohort.students, key=lambda s: s.id)
+        ],
+        "edges": [list(e) for e in sorted(cohort.network.edges)],
+    }
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")

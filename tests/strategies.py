@@ -4,7 +4,14 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from cohortnet import Student, SymmetrizeRule, UndirectedView, build_network
+from cohortnet import (
+    Gender,
+    Student,
+    SymmetrizeRule,
+    UndirectedView,
+    build_network,
+    make_cohort,
+)
 
 
 @st.composite
@@ -34,3 +41,26 @@ def undirected_views(draw, min_nodes=2, max_nodes=8):
 marks_lists = st.lists(
     st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=40
 )
+
+
+# Semester labels and cohort labels with the characters JSON must escape.
+json_texts = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\r\t", "s\u00e9m", "\u2028", "\ud800",
+                     "\U0001f600", "\u5b66\u671f"]),
+)
+
+
+@st.composite
+def cohorts(draw, max_students=6):
+    """Cohorts that make_cohort accepts: ids up to 12 digits, int and float marks."""
+    ids = draw(st.lists(st.integers(0, 10**12 - 1), max_size=max_students, unique=True))
+    marks = st.dictionaries(
+        json_texts, st.one_of(st.integers(0, 100), st.floats(0, 100)), max_size=3
+    )
+    roster = [
+        Student(id=sid, gender=draw(st.sampled_from(Gender)), marks=draw(marks)) for sid in ids
+    ]
+    possible = [(a, b) for a in ids for b in ids if a != b]
+    edges = draw(st.sets(st.sampled_from(possible)) if possible else st.just(set()))
+    return make_cohort(roster, sorted(edges), draw(json_texts))

@@ -112,6 +112,20 @@ class TestInputHardening:
         err = capsys.readouterr().err
         assert "line 2" in err and "byte offset 22" in err
 
+    @pytest.mark.parametrize("data, line, offset", [
+        (b"id,gender,mark_s5\r1,M,\xff50\r", 2, 22),
+        (b"id,gender,mark_s5\r\n1,M,50\r2,F,\xff\r\n", 3, 30),
+    ], ids=["cr", "crlf-then-cr"])
+    def test_non_utf8_after_cr_exit_2_with_line(self, tmp_path, capsys, data, line, offset):
+        # a lone CR ends a line, as it does for the CSV reader
+        (tmp_path / "r.csv").write_bytes(data)
+        (tmp_path / "e.csv").write_text("source,target\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--roster", str(tmp_path / "r.csv"),
+                     "--edges", str(tmp_path / "e.csv"), "--out", str(out / "c.json")]) == 2
+        assert f"data error: line {line}: byte offset {offset}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_utf8_config_exit_2_with_path_and_offset(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"# thresholds\nhigh_t=\xff\n")

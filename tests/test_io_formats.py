@@ -3,7 +3,7 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohortnet import (
@@ -44,6 +44,8 @@ from cohortnet.io_formats import (
 )
 
 from conftest import mknet
+from oracles import parse_adjacency_ref, save_cohort_ref
+from strategies import cohorts
 
 ROSTER = "id,gender,mark_s5\n1,M,80\n2,F,55\n"
 
@@ -174,6 +176,36 @@ class TestIdCells:
         assert not (tmp_path / "c.json").exists()
 
 
+def outcome(parse, data):
+    """The rows parsed, or the refusal's class, message and line."""
+    try:
+        return parse(data)
+    except DataError as exc:
+        return type(exc), str(exc), exc.line
+
+
+# Raw CSV cell texts the matrix parser refuses ('"0,1"' is one quoted cell);
+# "1" is a fault only on the diagonal.
+CELL_FAULTS = ["", "00", "01", "10", " 1", "-0", '"0,1"', "\uff11", "\uff10", "1"]
+
+
+@st.composite
+def faulty_matrices(draw):
+    """A 0/1 matrix with a zero diagonal and up to four cells overwritten by
+    faults, often in one row; ids in any order, LF or CRLF line ends."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(10, 10 + n)))
+    grid = [["0" if r == c else draw(st.sampled_from("01")) for c in range(n)] for r in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.integers(0, n - 1))
+        c = draw(st.one_of(st.just(r), st.integers(0, n - 1)))
+        grid[r][c] = draw(st.sampled_from(CELL_FAULTS))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(["", *map(str, ids)])]
+    lines += [",".join([str(i), *row]) for i, row in zip(ids, grid)]
+    return eol.join(lines) + eol
+
+
 class TestAdjacency:
     def test_single_entry(self):
         data = ",1,2\n1,0,1\n2,0,0\n"
@@ -196,6 +228,13 @@ class TestAdjacency:
         with pytest.raises(NonBinaryEntry) as err:
             parse_adjacency(",1,2\n1,0,2\n2,0,0\n")
         assert err.value.line == 2
+
+    @settings(max_examples=300)
+    # "" and "00" together have the length and the zeros of two valid cells
+    @example(",12,13,14,15\n12,0,1,0,0\n13,0,0,0,0\n14,0,0,00,\n15,0,0,0,0\n")
+    @given(faulty_matrices())
+    def test_matches_cell_by_cell_reference(self, text):
+        assert outcome(parse_adjacency, text) == outcome(parse_adjacency_ref, text)
 
     def test_symmetric_matrix_fully_reciprocal(self):
         data = ",1,2,3\n1,0,1,1\n2,1,0,0\n3,1,0,0\n"
@@ -342,6 +381,13 @@ class TestRoundTrips:
             again = load_cohort(save_cohort(cohort))
             assert again == cohort
             assert save_cohort(again) == save_cohort(cohort)
+
+    @settings(max_examples=300)
+    @example(make_cohort([], [], ""))
+    @example(make_cohort([Student(id=0)], [], "t"))
+    @given(cohorts())
+    def test_cohort_file_is_json_indent_layout(self, cohort):
+        assert save_cohort(cohort) == save_cohort_ref(cohort)
 
     def test_rebuilt_network_identical(self):
         net = mknet([(1, 2), (2, 1), (3, 1)], nodes={4})
