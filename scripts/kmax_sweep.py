@@ -15,7 +15,7 @@ from cohortnet import (
     girvan_newman,
     symmetrize,
 )
-from cohortnet.errors import EmptyTrace
+from cohortnet.errors import AnalysisError
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
         for k_max in args.k_max_values:
             try:
                 best, _ = best_partition(view, trace, k_max)
-            except EmptyTrace as exc:
+            except AnalysisError as exc:
                 print(f"  k_max={k_max:3d}  ->  refused: {exc}")
                 continue
             print(f"  k_max={k_max:3d}  ->  k={best.k:3d}, Q={best.q:.4f}")

@@ -33,8 +33,7 @@ _EXPORTS = {
     "model": (
         "Cohort", "FriendshipNetwork", "Gender", "Measure", "Mode", "Partition", "Student",
         "SymmetrizeRule", "UndirectedView", "build_network", "make_cohort",
-        "partition_from_blocks", "pendant_vertices", "reciprocity_rate", "symmetrize",
-        "weak_components",
+        "partition_from_blocks", "symmetrize",
     ),
     "stats": (
         "ClusterPerformance", "DistributionSummary", "GroupComparison", "PerfClass", "Shape",

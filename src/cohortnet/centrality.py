@@ -24,7 +24,7 @@ from array import array
 from collections.abc import Callable, Iterable, Mapping
 from typing import NamedTuple, TypeVar
 
-from .errors import DisconnectedGraph, EmptyEdgeSet, KTooLarge, NoConvergence
+from .errors import AnalysisError
 from .model import (
     FriendshipNetwork,
     Measure,
@@ -213,14 +213,14 @@ def betweenness(net: FriendshipNetwork, mode: Mode = Mode.DIRECTED) -> Centralit
 def closeness(net: FriendshipNetwork) -> CentralityScores:
     """Closeness on the union view: score(v) = (n-1) / sum of distances.
 
-    Raises :class:`DisconnectedGraph` when the union view is not connected;
+    Raises :class:`AnalysisError` when the union view is not connected;
     callers wanting per-component numbers should analyse components
     separately.
     """
     view = symmetrize(net, SymmetrizeRule.UNION)
     comps = view.components()
     if len(comps) > 1:
-        raise DisconnectedGraph(
+        raise AnalysisError(
             f"network has {len(comps)} components; closeness requires a "
             "connected network"
         )
@@ -258,7 +258,7 @@ def eigenvector(net: FriendshipNetwork | UndirectedView) -> CentralityScores:
     else:
         view = net
     if not view.edges:
-        raise EmptyEdgeSet("eigenvector centrality needs at least one edge")
+        raise AnalysisError("eigenvector centrality needs at least one edge")
 
     order = sorted(view.nodes)
     nbrs = _index_adjacency(order, view.adjacency)
@@ -274,7 +274,7 @@ def eigenvector(net: FriendshipNetwork | UndirectedView) -> CentralityScores:
             break
         x = y
     else:
-        raise NoConvergence(
+        raise AnalysisError(
             f"power iteration did not converge within {POWER_ITERATION_CAP} iterations"
         )
     return CentralityScores(
@@ -304,7 +304,7 @@ def degree(net: FriendshipNetwork) -> CentralityScores:
 def top_k(scores: Mapping[_Key, float], k: int) -> list[_Key]:
     """The k highest-scoring node ids or edges, ties broken by the smaller one."""
     if not 1 <= k <= len(scores):
-        raise KTooLarge(f"k={k} outside 1..{len(scores)}")
+        raise AnalysisError(f"k={k} outside 1..{len(scores)}")
     # equal to sorted(...)[:k]; for k=1 a single min() pass
     return heapq.nsmallest(k, scores, key=lambda v: (-scores[v], v))
 

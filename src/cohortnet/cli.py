@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from . import io_formats as iof
 from .config import OUT_DIR_ENV, RunConfig, build_config, load_config_file
-from .errors import AnalysisError, DataError, MissingMark, UsageError
+from .errors import AnalysisError, DataError, UsageError
 from .model import Cohort, Measure, Mode, Partition, SymmetrizeRule, make_cohort, symmetrize
 
 if TYPE_CHECKING:
@@ -160,7 +160,7 @@ def _marks_for_all(cohort: Cohort, semester: str) -> dict[int, float]:
     marks = cohort.marks_for(semester)
     missing = sorted(cohort.network.nodes - set(marks))
     if missing:
-        raise MissingMark(f"no {semester} mark for node(s) {missing}")
+        raise DataError(f"no {semester} mark for node(s) {missing}")
     return marks
 
 

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
 from .centrality import _fold_sources, _index_adjacency, _shortest_path_dag, top_k
-from .errors import EmptyEdgeSet, EmptyTrace, UnassignedNode
+from .errors import AnalysisError, DataError
 # Partition and partition_from_blocks are re-exported from here
 from .model import Partition, UndirectedView, _components, partition_from_blocks
 
@@ -88,11 +88,11 @@ def modularity(view: UndirectedView, p: Partition) -> float:
     """Newman-Girvan Q of ``p`` on ``view``."""
     m = len(view.edges)
     if m == 0:
-        raise EmptyEdgeSet("modularity is undefined on an empty edge set")
+        raise AnalysisError("modularity is undefined on an empty edge set")
     assignment = p.assignment
     for v in view.nodes:
         if v not in assignment:
-            raise UnassignedNode(f"node {v} has no cluster assignment")
+            raise DataError(f"node {v} has no cluster assignment")
     intra = [0] * p.k
     degree_sum = [0] * p.k
     for v, nbrs in view.adjacency.items():
@@ -173,11 +173,11 @@ def best_partition(
     snaps = [p for p in all_snaps if p.k <= k_max]
     if not snaps:
         if all_snaps:
-            raise EmptyTrace(
+            raise AnalysisError(
                 f"the undivided view already has {all_snaps[0].k} components, "
                 f"more than k_max={k_max}"
             )
-        raise EmptyTrace("the trace has no partition snapshots (edgeless view)")
+        raise AnalysisError("the trace has no partition snapshots (edgeless view)")
     # snapshots come in ascending k and max keeps the first maximum, so ties go to the smaller k
     best = max(snaps, key=lambda p: p.q)  # type: ignore[arg-type, return-value]
     curve = ModularityCurve(points=tuple((p.k, p.q) for p in snaps))  # type: ignore[misc]

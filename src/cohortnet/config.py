@@ -70,7 +70,9 @@ def load_config_file(path: Path) -> dict[str, object]:
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # LF, CRLF and a lone CR each end one line, as in io_formats._records
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -30,38 +30,3 @@ class DataError(CohortNetError):
 class AnalysisError(CohortNetError):
     """The inputs parsed fine but the requested analysis is not applicable."""
 
-
-# usage errors
-
-class BadThresholds(UsageError): ...
-
-
-# data errors
-
-class DuplicateId(DataError): ...
-class UnknownId(DataError): ...
-class SelfLoop(DataError): ...
-class DuplicateEdge(DataError): ...
-class InvalidMark(DataError): ...
-class InvalidGender(DataError): ...
-class InvalidId(DataError): ...
-class MissingMark(DataError): ...
-class UnassignedNode(DataError): ...
-class UnknownNodeInPartition(DataError): ...
-class EmptyGroup(DataError): ...
-class BadHeader(DataError): ...
-class NonSquareMatrix(DataError): ...
-class NonBinaryEntry(DataError): ...
-class SelfLoopEntry(DataError): ...
-
-
-# analysis refusals
-
-class EmptyEdgeSet(AnalysisError): ...
-class DisconnectedGraph(AnalysisError): ...
-class NoConvergence(AnalysisError): ...
-class KTooLarge(AnalysisError): ...
-class EmptyTrace(AnalysisError): ...
-class NoHighCluster(AnalysisError): ...
-class TooFewSamples(AnalysisError): ...
-class ZeroVariance(AnalysisError): ...

@@ -21,7 +21,7 @@ from enum import Enum
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .errors import MissingMark, NoHighCluster
+from .errors import AnalysisError, DataError
 from .model import (
     FriendshipNetwork,
     Partition,
@@ -89,7 +89,7 @@ def plan_intervention(
     """Build the assignment plan for one partition and one mark set."""
     perfs = cluster_performance(p, marks, policy.high_t, policy.low_t)
     if not any(c.perf is PerfClass.HIGH for c in perfs):
-        raise NoHighCluster(
+        raise AnalysisError(
             f"no cluster mean reaches high_t={policy.high_t}; dispersal needs at "
             "least one high-performing cluster to host the moved students"
         )
@@ -169,7 +169,7 @@ def predicted_group_profile(
         values = []
         for m in g.members:
             if m not in marks:
-                raise MissingMark(f"node {m} has no mark")
+                raise DataError(f"node {m} has no mark")
             values.append(marks[m])
         dispersed = sum(1 for r in g.roles.values() if r is Role.DISPERSED)
         preserved = len(g.members) - dispersed

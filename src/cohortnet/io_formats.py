@@ -3,7 +3,9 @@
 Everything here is a pure bytes/str transform; callers own the file
 handles. Output is UTF-8 with LF line endings and deterministically
 ordered, so identical inputs always produce byte-identical files. Input
-tolerates CRLF. All parse errors carry a 1-based line locator.
+tolerates CRLF. Every refusal from a CSV parser carries a 1-based line
+locator (`DataError.line`); `load_cohort` sets one only for a byte that is
+not UTF-8.
 """
 
 from __future__ import annotations
@@ -16,20 +18,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import (
-    BadHeader,
-    DataError,
-    DuplicateId,
-    InvalidGender,
-    InvalidId,
-    InvalidMark,
-    MissingMark,
-    NonBinaryEntry,
-    NonSquareMatrix,
-    SelfLoopEntry,
-    UnassignedNode,
-    UnknownNodeInPartition,
-)
+from .errors import DataError
 from .model import Cohort, FriendshipNetwork, Gender, Partition, Student, make_cohort
 
 if TYPE_CHECKING:
@@ -86,9 +75,9 @@ def _table(
     rows = _records(_text(data))
     header_line, header = next(rows, (1, None))
     if header is None:
-        raise BadHeader(f"empty {name} file", line=1)
+        raise DataError(f"empty {name} file", line=1)
     if expected and (header[:len(expected)] if prefix else header) != expected:
-        raise BadHeader(
+        raise DataError(
             f"expected header {'starting with ' if prefix else ''}{','.join(expected)!r}, "
             f"got {','.join(header)!r}",
             line=header_line,
@@ -109,13 +98,11 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
         raise DataError(str(exc), line=line) from None
 
 
-def _fields(
-    rows: Iterable[tuple[int, list[str]]], width: int, error: type[DataError] = DataError
-) -> Iterator[tuple[int, list[str]]]:
+def _fields(rows: Iterable[tuple[int, list[str]]], width: int) -> Iterator[tuple[int, list[str]]]:
     """The rows, each checked to hold `width` fields as the caller reaches it."""
     for line, row in rows:
         if len(row) != width:
-            raise error(f"expected {width} fields, got {len(row)}", line=line)
+            raise DataError(f"expected {width} fields, got {len(row)}", line=line)
         yield line, row
 
 
@@ -125,11 +112,11 @@ def _parse_id(cell: str, line: int) -> int:
     int() would also take "1_0", "+4", " 3", "007" and non-ASCII digits.
     """
     if not (cell.isascii() and cell.removeprefix("-").isdigit()):
-        raise InvalidId(f"id {cell!r} is not an integer", line=line)
+        raise DataError(f"id {cell!r} is not an integer", line=line)
     if cell.startswith("-"):
-        raise InvalidId(f"id {cell} must be non-negative", line=line)
+        raise DataError(f"id {cell} must be non-negative", line=line)
     if cell.startswith("0") and cell != "0":
-        raise InvalidId(f"id {cell!r} has a leading zero", line=line)
+        raise DataError(f"id {cell!r} has a leading zero", line=line)
     return int(cell)
 
 
@@ -141,23 +128,23 @@ def parse_roster(data: bytes | str) -> list[Student]:
     semesters = []
     for col in header[2:]:
         if not col.startswith(MARK_COLUMN_PREFIX) or col == MARK_COLUMN_PREFIX:
-            raise BadHeader(f"mark column {col!r} must look like 'mark_<semester>'",
+            raise DataError(f"mark column {col!r} must look like 'mark_<semester>'",
                             line=header_line)
         semesters.append(col[len(MARK_COLUMN_PREFIX):])
     if len(set(semesters)) != len(semesters):
-        raise BadHeader("duplicate mark column", line=header_line)
+        raise DataError("duplicate mark column", line=header_line)
 
     students: list[Student] = []
     seen: set[int] = set()
     for line, row in _fields(body, len(header)):
         sid = _parse_id(row[0], line)
         if sid in seen:
-            raise DuplicateId(f"duplicate student id {sid}", line=line)
+            raise DataError(f"duplicate student id {sid}", line=line)
         seen.add(sid)
         try:
             gender = Gender(row[1])
         except ValueError:
-            raise InvalidGender(
+            raise DataError(
                 f"gender {row[1]!r} is not one of M, F, U", line=line
             ) from None
         marks: dict[str, float] = {}
@@ -167,9 +154,9 @@ def parse_roster(data: bytes | str) -> list[Student]:
             try:
                 mark = float(cell)
             except ValueError:
-                raise InvalidMark(f"mark {cell!r} is not a number", line=line) from None
+                raise DataError(f"mark {cell!r} is not a number", line=line) from None
             if not 0.0 <= mark <= 100.0:
-                raise InvalidMark(f"mark {mark!r} outside [0, 100]", line=line)
+                raise DataError(f"mark {mark!r} outside [0, 100]", line=line)
             marks[semester] = mark
         students.append(Student(id=sid, gender=gender, marks=marks))
     return students
@@ -197,7 +184,7 @@ def parse_edges(data: bytes | str) -> list[tuple[int, int]]:
         src = _parse_id(row[0], line)
         tgt = _parse_id(row[1], line)
         if src == tgt:
-            raise SelfLoopEntry(f"self-nomination ({src}, {tgt})", line=line)
+            raise DataError(f"self-nomination ({src}, {tgt})", line=line)
         edges.append((src, tgt))
     return edges
 
@@ -215,21 +202,21 @@ def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
     """Parse a square 0/1 matrix; entry (r, c) = 1 yields the edge (r, c)."""
     header_line, header, rows = _table(data, "adjacency")
     if len(header) < 2:
-        raise BadHeader("adjacency header needs at least one id column", line=header_line)
+        raise DataError("adjacency header needs at least one id column", line=header_line)
     ids = [_parse_id(cell, header_line) for cell in header[1:]]
     if len(set(ids)) != len(ids):
-        raise BadHeader("duplicate id in adjacency header", line=header_line)
+        raise DataError("duplicate id in adjacency header", line=header_line)
     n = len(ids)
     body = list(rows)
     if len(body) != n:
-        raise NonSquareMatrix(
+        raise DataError(
             f"{n} id columns but {len(body)} data rows", line=body[-1][0] if body else header_line
         )
     edges = []
-    for pos, (line, row) in enumerate(_fields(body, n + 1, NonSquareMatrix)):
+    for pos, (line, row) in enumerate(_fields(body, n + 1)):
         row_id = _parse_id(row[0], line)
         if row_id != ids[pos]:
-            raise BadHeader(
+            raise DataError(
                 f"row label {row_id} does not match header order (expected {ids[pos]})",
                 line=line,
             )
@@ -238,8 +225,8 @@ def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
             col, cell = next((col, cell) for col, cell in enumerate(cells)
                              if cell not in _BINARY or col == pos and cell == "1")
             if cell == "1":
-                raise SelfLoopEntry(f"diagonal entry for id {row_id} is 1", line=line)
-            raise NonBinaryEntry(f"column {col + 2}: entry {cell!r} is not 0 or 1", line=line)
+                raise DataError(f"diagonal entry for id {row_id} is 1", line=line)
+            raise DataError(f"column {col + 2}: entry {cell!r} is not 0 or 1", line=line)
         bits = "".join(cells)  # one character per column
         col = bits.find("1")
         while col != -1:
@@ -305,7 +292,7 @@ def _json_id(value: object) -> int:
     if type(value) is int:  # never a bool: type(True) is bool
         return value
     if isinstance(value, (str, bool)) or (isinstance(value, float) and not value.is_integer()):
-        raise InvalidId(f"cohort file: id {value!r} is not an integer")
+        raise DataError(f"cohort file: id {value!r} is not an integer")
     return int(value)  # type: ignore[call-overload]
 
 
@@ -315,7 +302,7 @@ def _json_marks(value: object) -> dict[str, float]:
         raise DataError(f"cohort file: marks {value!r} is not an object")
     for mark in value.values():
         if isinstance(mark, bool) or not isinstance(mark, (int, float)):
-            raise InvalidMark(f"cohort file: mark {mark!r} is not a number")
+            raise DataError(f"cohort file: mark {mark!r} is not a number")
     return {k: float(v) for k, v in value.items()}
 
 
@@ -353,16 +340,16 @@ def check_coverage(
     if partition is not None:
         extra = set(partition.assignment) - set(net.nodes)
         if extra:
-            raise UnknownNodeInPartition(
+            raise DataError(
                 f"partition mentions unknown node(s) {sorted(extra)}"
             )
         missing = set(net.nodes) - set(partition.assignment)
         if missing:
-            raise UnassignedNode(f"partition misses node(s) {sorted(missing)}")
+            raise DataError(f"partition misses node(s) {sorted(missing)}")
     if marks is not None:
         unmarked = set(net.nodes) - set(marks)
         if unmarked:
-            raise MissingMark(f"no mark for node(s) {sorted(unmarked)}")
+            raise DataError(f"no mark for node(s) {sorted(unmarked)}")
 
 
 _DOT_SHAPES = {Gender.MALE: "circle", Gender.FEMALE: "square", Gender.UNSPECIFIED: "ellipse"}
@@ -491,7 +478,7 @@ def parse_partition_csv(data: bytes | str) -> Partition:
     for line, row in _fields(body, 2):
         node = _parse_id(row[0], line)
         if node in raw:
-            raise DuplicateId(f"node {node} assigned twice", line=line)
+            raise DataError(f"node {node} assigned twice", line=line)
         raw[node] = _parse_id(row[1], line)
     if not raw:
         raise DataError("partition file has no assignments", line=header_line)

@@ -14,18 +14,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (
-    BadThresholds,
-    DataError,
-    DuplicateEdge,
-    DuplicateId,
-    EmptyEdgeSet,
-    InvalidId,
-    InvalidMark,
-    SelfLoop,
-    UnknownId,
-    UsageError,
-)
+from .errors import DataError, UsageError
 
 
 class Gender(str, Enum):
@@ -59,13 +48,13 @@ class Mode(str, Enum):
 
 def _check_mark(value: float, context: str) -> None:
     if not 0.0 <= value <= 100.0:
-        raise InvalidMark(f"{context}: mark {value!r} outside [0, 100]")
+        raise DataError(f"{context}: mark {value!r} outside [0, 100]")
 
 
 # The run settings' rules, shared by RunConfig, InterventionPolicy and stats.
 def _check_thresholds(high_t: float, low_t: float) -> None:
     if not low_t < high_t:
-        raise BadThresholds(f"need low_t < high_t, got {low_t} >= {high_t}")
+        raise UsageError(f"need low_t < high_t, got {low_t} >= {high_t}")
 
 
 def _check_group_bounds(min_group: int, max_group: int) -> None:
@@ -99,7 +88,7 @@ class Student(_StudentFields):
     def __new__(cls, id: int, gender: Gender = Gender.UNSPECIFIED,
                 marks: dict[str, float] | None = None) -> Student:
         if id < 0:
-            raise InvalidId(f"student id {id} must be non-negative")
+            raise DataError(f"student id {id} must be non-negative")
         marks = {} if marks is None else marks
         for semester, mark in marks.items():
             _check_mark(mark, f"student {id}, semester {semester!r}")
@@ -222,7 +211,7 @@ def build_network(
     """Validate roster and nominations and assemble the directed network.
 
     With ``dedupe`` a repeated nomination is dropped with a warning instead
-    of raising :class:`DuplicateEdge`.
+    of raising :class:`DataError`.
     """
     students = list(roster)
     ids = [s.id for s in students]
@@ -230,7 +219,7 @@ def build_network(
     if len(ids) != len(nodes):
         seen: set[int] = set()
         dup = next(i for i in ids if i in seen or seen.add(i))  # type: ignore[func-returns-value]
-        raise DuplicateId(f"student id {dup} appears more than once in the roster")
+        raise DataError(f"student id {dup} appears more than once in the roster")
     for s in students:
         for semester, mark in s.marks.items():
             _check_mark(mark, f"student {s.id}, semester {semester!r}")
@@ -238,17 +227,17 @@ def build_network(
     edges: set[tuple[int, int]] = set()
     for src, tgt in nominations:
         if src == tgt:
-            raise SelfLoop(f"self-nomination ({src}, {tgt}) is not allowed")
+            raise DataError(f"self-nomination ({src}, {tgt}) is not allowed")
         if src not in nodes:
-            raise UnknownId(f"edge source {src} is not in the roster")
+            raise DataError(f"edge source {src} is not in the roster")
         if tgt not in nodes:
-            raise UnknownId(f"edge target {tgt} is not in the roster")
+            raise DataError(f"edge target {tgt} is not in the roster")
         if (src, tgt) in edges:
             if dedupe:
                 from logging import getLogger  # imported on this path only
                 getLogger(__name__).warning("duplicate nomination (%s, %s) ignored", src, tgt)
                 continue
-            raise DuplicateEdge(f"nomination ({src}, {tgt}) appears more than once")
+            raise DataError(f"nomination ({src}, {tgt}) appears more than once")
         edges.add((src, tgt))
     return FriendshipNetwork(label=label, nodes=nodes, edges=frozenset(edges))
 
@@ -260,25 +249,6 @@ def symmetrize(net: FriendshipNetwork, rule: SymmetrizeRule) -> UndirectedView:
     else:
         pairs = {(min(s, t), max(s, t)) for s, t in net.edges if (t, s) in net.edges}
     return UndirectedView(nodes=net.nodes, edges=frozenset(pairs), rule=rule)
-
-
-def weak_components(net: FriendshipNetwork) -> list[set[int]]:
-    """Weakly connected components, largest first, ties by smallest member id."""
-    return symmetrize(net, SymmetrizeRule.UNION).components()
-
-
-def pendant_vertices(net: FriendshipNetwork) -> set[int]:
-    """Nodes with exactly one neighbour in the union undirected view."""
-    adjacency = symmetrize(net, SymmetrizeRule.UNION).adjacency
-    return {v for v, nbrs in adjacency.items() if len(nbrs) == 1}
-
-
-def reciprocity_rate(net: FriendshipNetwork) -> float:
-    """Fraction of directed edges whose reverse edge also exists."""
-    if not net.edges:
-        raise EmptyEdgeSet("reciprocity is undefined on an empty edge set")
-    mutual = sum(1 for s, t in net.edges if (t, s) in net.edges)
-    return mutual / len(net.edges)
 
 
 class Cohort(NamedTuple):

@@ -15,7 +15,7 @@ from collections.abc import Mapping, Sequence
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import EmptyGroup, InvalidMark, MissingMark, TooFewSamples, ZeroVariance
+from .errors import AnalysisError, DataError
 from .model import Partition, _check_bin_width, _check_thresholds
 
 SKEW_SHAPE_THRESHOLD = 0.5
@@ -63,11 +63,11 @@ def skewness(marks: Sequence[float]) -> float:
     """Adjusted Fisher-Pearson g1 of the sample."""
     n = len(marks)
     if n < 3:
-        raise TooFewSamples(f"skewness needs at least 3 samples, got {n}")
+        raise AnalysisError(f"skewness needs at least 3 samples, got {n}")
     mean = statistics.fmean(marks)
     s = statistics.stdev(marks)
     if s == 0.0:
-        raise ZeroVariance("skewness is undefined for a constant sample")
+        raise AnalysisError("skewness is undefined for a constant sample")
     third = math.fsum(((x - mean) / s) ** 3 for x in marks)
     return n / ((n - 1) * (n - 2)) * third
 
@@ -93,11 +93,11 @@ def _histogram(marks: Sequence[float], bin_width: float) -> tuple[tuple[float, i
 def summarize(marks: Sequence[float], bin_width: float = 5) -> DistributionSummary:
     """Descriptive summary of marks in percent, with a binned histogram."""
     if not marks:
-        raise EmptyGroup("cannot summarize an empty mark list")
+        raise DataError("cannot summarize an empty mark list")
     _check_bin_width(bin_width)
     for x in marks:
         if not 0.0 <= x <= 100.0:
-            raise InvalidMark(f"mark {x!r} outside [0, 100]")
+            raise DataError(f"mark {x!r} outside [0, 100]")
     n = len(marks)
     stddev = statistics.stdev(marks) if n >= 2 else None
     g1: float | None = None
@@ -136,7 +136,7 @@ def cluster_performance(
         values = []
         for node in sorted(members):
             if node not in marks:
-                raise MissingMark(f"node {node} has no mark")
+                raise DataError(f"node {node} has no mark")
             values.append(marks[node])
         mean = statistics.fmean(values)
         if mean >= high_t:
@@ -158,7 +158,7 @@ def compare_groups(
 ) -> GroupComparison:
     """Summaries of two mark lists plus their mean difference (a - b)."""
     if not a or not b:
-        raise EmptyGroup("both groups need at least one mark")
+        raise DataError("both groups need at least one mark")
     summary_a = summarize(a, bin_width)
     summary_b = summarize(b, bin_width)
     return GroupComparison(

@@ -26,13 +26,7 @@ from cohortnet import (
     modularity,
     partition_from_blocks,
 )
-from cohortnet.errors import (
-    BadHeader,
-    EmptyTrace,
-    NonBinaryEntry,
-    NonSquareMatrix,
-    SelfLoopEntry,
-)
+from cohortnet.errors import AnalysisError, DataError
 from cohortnet.io_formats import _fields, _parse_id, _table
 
 
@@ -426,11 +420,11 @@ def best_partition_ref(view, trace, k_max=15):
     snaps = [p for p in all_snaps if p.k <= k_max]
     if not snaps:
         if all_snaps:
-            raise EmptyTrace(
+            raise AnalysisError(
                 f"the undivided view already has {all_snaps[0].k} components, "
                 f"more than k_max={k_max}"
             )
-        raise EmptyTrace("the trace has no partition snapshots (edgeless view)")
+        raise AnalysisError("the trace has no partition snapshots (edgeless view)")
     best = snaps[0]
     for p in snaps[1:]:  # snapshots come in ascending k, so strict > keeps ties small
         assert p.q is not None and best.q is not None
@@ -444,32 +438,32 @@ def parse_adjacency_ref(data):
     """The matrix parser that checks every cell in turn, column by column."""
     header_line, header, rows = _table(data, "adjacency")
     if len(header) < 2:
-        raise BadHeader("adjacency header needs at least one id column", line=header_line)
+        raise DataError("adjacency header needs at least one id column", line=header_line)
     ids = [_parse_id(cell, header_line) for cell in header[1:]]
     if len(set(ids)) != len(ids):
-        raise BadHeader("duplicate id in adjacency header", line=header_line)
+        raise DataError("duplicate id in adjacency header", line=header_line)
     n = len(ids)
     body = list(rows)
     if len(body) != n:
-        raise NonSquareMatrix(
+        raise DataError(
             f"{n} id columns but {len(body)} data rows", line=body[-1][0] if body else header_line
         )
     edges = []
-    for pos, (line, row) in enumerate(_fields(body, n + 1, NonSquareMatrix)):
+    for pos, (line, row) in enumerate(_fields(body, n + 1)):
         row_id = _parse_id(row[0], line)
         if row_id != ids[pos]:
-            raise BadHeader(
+            raise DataError(
                 f"row label {row_id} does not match header order (expected {ids[pos]})",
                 line=line,
             )
         for col, cell in enumerate(row[1:]):
             if cell not in ("0", "1"):
-                raise NonBinaryEntry(
+                raise DataError(
                     f"column {col + 2}: entry {cell!r} is not 0 or 1", line=line
                 )
             if cell == "1":
                 if ids[col] == row_id:
-                    raise SelfLoopEntry(f"diagonal entry for id {row_id} is 1", line=line)
+                    raise DataError(f"diagonal entry for id {row_id} is 1", line=line)
                 edges.append((row_id, ids[col]))
     return edges
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -102,6 +105,21 @@ def _csv_bytes(header):
     ).map(lambda parts: parts[0] + b"".join(parts[1]))
 
 
+# Config lines that parse, broken ones, and separators that end no line
+# (form feed, U+0085, U+2028) beside the three that do.
+_CONFIG_PIECES = [
+    b"high_t=80\n", b"low_t=50\n", b"bin_width=5\n", b"k_max=3\n", b"symmetrize=union\n",
+    b"keep_low_subgroups=yes\n", b"# note\n", b"bogus=1", b"k_max=abc", b"high_t", b"=", b"#",
+    b" ", b"\n", b"\r", b"\r\n", b"\x0c", "\x85".encode(), "\u2028".encode(), b"\xff",
+]
+
+
+def _line_count(data):
+    """Lines in `data` when only LF, CRLF and a lone CR end one."""
+    ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    return ends + (not data.endswith((b"\n", b"\r")))
+
+
 class TestInputHardening:
     def test_non_utf8_roster_exit_2_with_offset(self, tmp_path, capsys):
         (tmp_path / "r.csv").write_bytes(b"id,gender,mark_s5\n1,M,\xff50\n")
@@ -176,7 +194,7 @@ class TestInputHardening:
         assert f"data error: line {line}: " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: no line locator yet")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: no line locator yet")
     @pytest.mark.parametrize("source, text, line, message", [
         ("edges", "source,target\n1,2\n1,2\n", 3,
          "nomination (1, 2) appears more than once"),
@@ -209,6 +227,23 @@ class TestInputHardening:
                          "--out", str(out / "c.json")])
             assert code in (0, 1, 2, 3)
             assert out.exists() == (code == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=st.lists(st.sampled_from(_CONFIG_PIECES), max_size=20).map(b"".join))
+    def test_config_of_any_bytes_exits_cleanly(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            cfg = d / "run.cfg"
+            cfg.write_bytes(config)
+            out = d / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["report", str(path_cohort(d)), "--config", str(cfg),
+                             "--out-dir", str(out)])
+            assert code in (0, 1, 2, 3)
+            assert out.exists() == (code == 0)
+            locators = re.findall(re.escape(str(cfg)) + r":(?: line)? ?(\d+):", err.getvalue())
+            assert all(1 <= int(n) <= _line_count(config) for n in locators)
 
     @pytest.mark.parametrize("top", ["0", "1000"])
     def test_refused_command_writes_nothing(self, tmp_path, capsys, top):
@@ -526,6 +561,21 @@ class TestDemoAndConfig:
     def test_bad_config_line_usage_error(self, tmp_path, capsys, text, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
+        assert main(["report", str(path_cohort(tmp_path)), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {cfg}:{line}: ")
+
+    @pytest.mark.parametrize("data, line", [
+        (b"low_t=50\x0cbogus=1\n", 1),
+        ("low_t=50\x85bogus=1\n".encode(), 1),
+        ("low_t=50\u2028bogus=1\n".encode(), 1),
+        (b"# note\r\nbogus=1\r\n", 2),
+        (b"# note\rbogus=1\r", 2),
+        (b"# note\r# more\r\nbogus=1\n", 3),
+    ], ids=["form-feed", "u0085", "u2028", "crlf", "cr", "cr-then-crlf"])
+    def test_config_lines_end_only_at_lf_crlf_or_cr(self, tmp_path, capsys, data, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(data)
         assert main(["report", str(path_cohort(tmp_path)), "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {cfg}:{line}: ")

@@ -13,7 +13,7 @@ from cohortnet import (
     predicted_group_profile,
     symmetrize,
 )
-from cohortnet.errors import BadThresholds, MissingMark, NoHighCluster
+from cohortnet.errors import AnalysisError, DataError, UsageError
 from cohortnet.io_formats import plan_csv
 
 from conftest import mknet
@@ -62,17 +62,17 @@ class TestPlanExamples:
     def test_no_high_cluster_refused(self):
         net = mknet([], nodes={1, 2})
         p = Partition(assignment={1: 0, 2: 1}, k=2)
-        with pytest.raises(NoHighCluster):
+        with pytest.raises(AnalysisError, match="no cluster mean reaches high_t=70.0"):
             plan_intervention(net, p, {1: 50, 2: 55}, InterventionPolicy())
 
     def test_missing_mark(self):
         net = mknet([], nodes={1, 2})
         p = Partition(assignment={1: 0, 2: 0}, k=1)
-        with pytest.raises(MissingMark):
+        with pytest.raises(DataError, match="node 2 has no mark"):
             plan_intervention(net, p, {1: 80}, InterventionPolicy())
 
     def test_bad_policy_thresholds(self):
-        with pytest.raises(BadThresholds):
+        with pytest.raises(UsageError, match="need low_t < high_t, got 60 >= 60"):
             InterventionPolicy(high_t=60, low_t=60)
 
     def test_oversized_unit_overflows_smallest_group(self):
@@ -103,7 +103,7 @@ class TestPlanExamples:
     def test_profile_missing_mark(self):
         plan = plan_intervention(*example_case(keep=True))
         marks = {v: m for v, m in example_case(keep=True)[2].items() if v != 7}
-        with pytest.raises(MissingMark, match="node 7 has no mark"):
+        with pytest.raises(DataError, match="node 7 has no mark"):
             predicted_group_profile(plan, marks)
 
     def test_profile_simple_mean(self):

@@ -12,23 +12,9 @@ from cohortnet import (
     Student,
     build_network,
     make_cohort,
-    reciprocity_rate,
 )
 from cohortnet.cli import main
-from cohortnet.errors import (
-    BadHeader,
-    DataError,
-    DuplicateId,
-    InvalidGender,
-    InvalidId,
-    InvalidMark,
-    MissingMark,
-    NonBinaryEntry,
-    NonSquareMatrix,
-    SelfLoopEntry,
-    UnassignedNode,
-    UnknownNodeInPartition,
-)
+from cohortnet.errors import DataError
 from cohortnet.io_formats import (
     GraphFormat,
     export_adjacency,
@@ -95,23 +81,23 @@ class TestRoster:
         assert students[0].marks == {"s6": 70.0}
 
     def test_duplicate_id_names_line(self):
-        with pytest.raises(DuplicateId) as err:
+        with pytest.raises(DataError, match="duplicate student id 1") as err:
             parse_roster("id,gender,mark_s5\n1,M,80\n1,F,55\n")
         assert err.value.line == 3
 
     def test_mark_out_of_range(self):
-        with pytest.raises(InvalidMark) as err:
+        with pytest.raises(DataError, match=r"mark 105\.0 outside \[0, 100\]") as err:
             parse_roster("id,gender,mark_s5\n1,M,105\n")
         assert err.value.line == 2
 
     def test_bad_gender(self):
-        with pytest.raises(InvalidGender):
+        with pytest.raises(DataError, match="gender 'X' is not one of M, F, U"):
             parse_roster("id,gender,mark_s5\n1,X,80\n")
 
     def test_bad_header(self):
-        with pytest.raises(BadHeader):
+        with pytest.raises(DataError, match="expected header starting with 'id,gender'"):
             parse_roster("ident,gender,mark_s5\n")
-        with pytest.raises(BadHeader):
+        with pytest.raises(DataError, match="mark column 'grade' must look like"):
             parse_roster("id,gender,grade\n")
 
 
@@ -120,11 +106,11 @@ class TestEdges:
         assert parse_edges("source,target\n1,2\n2,1\n") == [(1, 2), (2, 1)]
 
     def test_bad_header(self):
-        with pytest.raises(BadHeader):
+        with pytest.raises(DataError, match="expected header 'source,target'"):
             parse_edges("src,dst\n1,2\n")
 
     def test_self_loop_entry(self):
-        with pytest.raises(SelfLoopEntry) as err:
+        with pytest.raises(DataError, match=r"self-nomination \(3, 3\)") as err:
             parse_edges("source,target\n3,3\n")
         assert err.value.line == 2
 
@@ -134,16 +120,16 @@ class TestIdCells:
 
     @pytest.mark.parametrize("cell", ["1_0", "+4", " 3", "3 ", "\u0663", "1.0", "0x1", "", "-"])
     def test_non_ascii_digit_id_refused(self, cell):
-        with pytest.raises(InvalidId, match="is not an integer") as err:
+        with pytest.raises(DataError, match="is not an integer") as err:
             parse_edges(f"source,target\n1,2\n{cell},2\n")
         assert err.value.line == 3
-        with pytest.raises(InvalidId, match="is not an integer"):
+        with pytest.raises(DataError, match="is not an integer"):
             parse_roster(f"id,gender\n{cell},M\n")
-        with pytest.raises(InvalidId, match="is not an integer"):
+        with pytest.raises(DataError, match="is not an integer"):
             parse_partition_csv(f"node,cluster\n1,{cell}\n")
 
     def test_negative_id_refused(self):
-        with pytest.raises(InvalidId, match="id -3 must be non-negative"):
+        with pytest.raises(DataError, match="id -3 must be non-negative"):
             parse_edges("source,target\n-3,2\n")
 
     @pytest.mark.parametrize("cell", ["007", "00", "01", "0010"])
@@ -157,7 +143,7 @@ class TestIdCells:
             (parse_partition_csv, f"node,cluster\n1,0\n2,{cell}\n", 3),
         ]
         for parse, text, line in cases:
-            with pytest.raises(InvalidId, match="has a leading zero") as err:
+            with pytest.raises(DataError, match="has a leading zero") as err:
                 parse(text)
             assert err.value.line == line
 
@@ -212,20 +198,20 @@ class TestAdjacency:
         assert parse_adjacency(data) == [(1, 2)]
 
     def test_non_square(self):
-        with pytest.raises(NonSquareMatrix):
+        with pytest.raises(DataError, match="3 id columns but 2 data rows"):
             parse_adjacency(",1,2,3\n1,0,1,0\n2,0,0,1\n")
 
     def test_row_too_wide(self):
-        with pytest.raises(NonSquareMatrix) as err:
+        with pytest.raises(DataError, match="expected 3 fields, got 4") as err:
             parse_adjacency(",1,2\n1,0,1,1\n2,0,0\n")
         assert err.value.line == 2
 
     def test_diagonal_one(self):
-        with pytest.raises(SelfLoopEntry):
+        with pytest.raises(DataError, match="diagonal entry for id 1 is 1"):
             parse_adjacency(",1,2\n1,1,0\n2,0,0\n")
 
     def test_non_binary_entry(self):
-        with pytest.raises(NonBinaryEntry) as err:
+        with pytest.raises(DataError, match="column 3: entry '2' is not 0 or 1") as err:
             parse_adjacency(",1,2\n1,0,2\n2,0,0\n")
         assert err.value.line == 2
 
@@ -240,7 +226,7 @@ class TestAdjacency:
         data = ",1,2,3\n1,0,1,1\n2,1,0,0\n3,1,0,0\n"
         edges = parse_adjacency(data)
         net = build_network([Student(id=i) for i in (1, 2, 3)], edges, "t")
-        assert reciprocity_rate(net) == 1.0
+        assert all((t, s) in net.edges for s, t in net.edges)
 
 
 class TestGraphExport:
@@ -317,9 +303,9 @@ class TestGraphExport:
 
     def test_partition_must_cover_nodes(self):
         net = mknet([(1, 2)])
-        with pytest.raises(UnassignedNode):
+        with pytest.raises(DataError, match=r"partition misses node\(s\) \[2\]"):
             export_graph(net, GraphFormat.DOT, partition=Partition(assignment={1: 0}, k=1))
-        with pytest.raises(UnknownNodeInPartition):
+        with pytest.raises(DataError, match=r"partition mentions unknown node\(s\) \[9\]"):
             export_graph(
                 net, GraphFormat.DOT,
                 partition=Partition(assignment={1: 0, 2: 0, 9: 0}, k=1),
@@ -327,7 +313,7 @@ class TestGraphExport:
 
     def test_marks_must_cover_nodes(self):
         net = mknet([(1, 2)])
-        with pytest.raises(MissingMark):
+        with pytest.raises(DataError, match=r"no mark for node\(s\) \[2\]"):
             export_graph(net, GraphFormat.DOT, marks={1: 50.0})
 
 
@@ -338,7 +324,7 @@ class TestPartitionCsv:
         assert p.k == 2
 
     def test_duplicate_node(self):
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DataError, match="node 1 assigned twice"):
             parse_partition_csv("node,cluster\n1,0\n1,1\n")
 
 

@@ -33,7 +33,7 @@ from cohortnet import (
     SymmetrizeRule,
     UndirectedView,
 )
-from cohortnet.errors import BadThresholds, DataError, InvalidId, InvalidMark, UsageError
+from cohortnet.errors import DataError, UsageError
 
 PARTITION = {"assignment": {1: 0, 2: 1}, "k": 2, "q": 0.25}
 NETWORK = {"label": "t", "nodes": frozenset({1, 2}), "edges": frozenset({(1, 2)})}
@@ -131,19 +131,19 @@ def test_fields_cannot_be_reassigned(cls):
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Student(id=-1), InvalidId, "student id -1 must be non-negative"),
-    (lambda: Student(id=1, marks={"s5": 101.0}), InvalidMark,
+    (lambda: Student(id=-1), DataError, "student id -1 must be non-negative"),
+    (lambda: Student(id=1, marks={"s5": 101.0}), DataError,
      "student 1, semester 's5': mark 101.0 outside [0, 100]"),
     (lambda: Partition(assignment={}, k=0), DataError, "a partition needs at least one node"),
     (lambda: Partition(assignment={1: 0, 2: 2}, k=2), DataError,
      "cluster ids must be exactly 0..1, got [0, 2]"),
-    (lambda: RunConfig(low_t=70.0, high_t=70.0), BadThresholds,
+    (lambda: RunConfig(low_t=70.0, high_t=70.0), UsageError,
      "need low_t < high_t, got 70.0 >= 70.0"),
     (lambda: RunConfig(k_max=1), UsageError, "k_max must be >= 2, got 1"),
     (lambda: RunConfig(bin_width=0), UsageError, "bin_width must be >= 1, got 0"),
     (lambda: RunConfig(min_group=5, max_group=4), UsageError,
      "need 1 <= min_group <= max_group, got 5..4"),
-    (lambda: InterventionPolicy(low_t=80.0, high_t=70.0), BadThresholds,
+    (lambda: InterventionPolicy(low_t=80.0, high_t=70.0), UsageError,
      "need low_t < high_t, got 80.0 >= 70.0"),
     (lambda: InterventionPolicy(min_group=0), UsageError,
      "need 1 <= min_group <= max_group, got 0..18"),
@@ -158,14 +158,14 @@ def test_invalid_records_are_refused(build, error, message):
     assert caught.type is error
 
 
-@pytest.mark.parametrize("record, name, value, error", [
-    (Student(id=1), "id", -1, InvalidId),
-    (Partition(**PARTITION), "k", 3, DataError),
-    (RunConfig(), "k_max", 1, UsageError),
-    (InterventionPolicy(), "low_t", 90.0, BadThresholds),
+@pytest.mark.parametrize("record, name, value, error, message", [
+    (Student(id=1), "id", -1, DataError, "student id -1 must be non-negative"),
+    (Partition(**PARTITION), "k", 3, DataError, "cluster ids must be exactly 0..2"),
+    (RunConfig(), "k_max", 1, UsageError, "k_max must be >= 2, got 1"),
+    (InterventionPolicy(), "low_t", 90.0, UsageError, "need low_t < high_t, got 90.0 >= 70.0"),
 ], ids=["Student", "Partition", "RunConfig", "InterventionPolicy"])
-def test_replace_checks_like_construction(record, name, value, error):
-    with pytest.raises(error):
+def test_replace_checks_like_construction(record, name, value, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         record._replace(**{name: value})
     assert record._replace()._asdict() == record._asdict()
 
