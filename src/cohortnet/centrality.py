@@ -16,12 +16,14 @@ warning when the network contains non-reciprocal ties.
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 import os
 import signal
 import threading
 from array import array
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import reduce
 from typing import NamedTuple, TypeVar
 
 from .errors import AnalysisError
@@ -67,6 +69,15 @@ def _index_adjacency(
 ) -> list[list[int]]:
     idx = {v: i for i, v in enumerate(order)}
     return [sorted(idx[w] for w in adjacency[v]) for v in order]
+
+
+def _row_getters(nbrs: list[list[int]]) -> list[Callable[[list], Sequence]]:
+    """Per row, a callable taking a list to its entries at the row's indices, in order."""
+    # itemgetter(j) returns x[j] bare and itemgetter() raises, so a row with
+    # fewer than two entries takes a slice of length 0 or 1 instead
+    return [operator.itemgetter(*row) if len(row) > 1
+            else operator.itemgetter(slice(row[0], row[0] + 1) if row else slice(0))
+            for row in nbrs]
 
 
 def _shortest_path_dag(
@@ -226,20 +237,18 @@ def closeness(net: FriendshipNetwork) -> CentralityScores:
         )
     order = sorted(net.nodes)
     n = len(order)
-    nbrs = _index_adjacency(order, view.adjacency)
-    scores: dict[int, float] = {}
-    for i, v in enumerate(order):
-        dist = [-1] * n
-        dist[i] = 0
-        seen = [i]
-        for u in seen:  # the visit list doubles as the queue
-            d1 = dist[u] + 1
-            for w in nbrs[u]:
-                if dist[w] < 0:
-                    dist[w] = d1
-                    seen.append(w)
-        total = sum(dist)  # connected, so every distance is set
-        scores[v] = (n - 1) / total if total else 0.0
+    rows = _row_getters(_index_adjacency(order, view.adjacency))
+    # Bit s of reach[i] is set once dist(s, i) <= d: one multi-source BFS
+    # (Then et al., PVLDB 2014) whose sweep d finds every node at distance d.
+    reach = [1 << i for i in range(n)]
+    totals = [0] * n  # exact integer sums of distances
+    for d in itertools.count(1):
+        grown = [reduce(operator.or_, row(reach), r) for r, row in zip(reach, rows)]
+        if grown == reach:
+            break
+        totals = [t + d * (g ^ r).bit_count() for t, g, r in zip(totals, grown, reach)]
+        reach = grown
+    scores = {v: (n - 1) / total if total else 0.0 for v, total in zip(order, totals)}
     return CentralityScores(measure=Measure.CLOSENESS, mode=Mode.UNDIRECTED, scores=scores)
 
 
@@ -261,12 +270,11 @@ def eigenvector(net: FriendshipNetwork | UndirectedView) -> CentralityScores:
         raise AnalysisError("eigenvector centrality needs at least one edge")
 
     order = sorted(view.nodes)
-    nbrs = _index_adjacency(order, view.adjacency)
+    rows = _row_getters(_index_adjacency(order, view.adjacency))
     x = [1.0] * len(order)
     for _ in range(POWER_ITERATION_CAP):
-        get = x.__getitem__
-        # x[i] + (0 + neighbours): sum(row, x[i]) would add in another order
-        y = [xi + sum(map(get, row)) for xi, row in zip(x, nbrs)]
+        # x[i] + (0 + neighbours): sum(row(x), x[i]) would add in another order
+        y = [xi + sum(row(x)) for xi, row in zip(x, rows)]
         top = max(y)
         y = [v / top for v in y]
         if max(map(abs, map(operator.sub, y, x))) < POWER_ITERATION_TOL:

@@ -78,8 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--top", type=int, default=None,
                    help="also rank the top N representatives by directed betweenness")
     p.add_argument("--k-max", type=int, dest="k_max", default=None)
-    p.add_argument("--symmetrize", type=SymmetrizeRule, default=None,
-                   choices=list(SymmetrizeRule))
+    p.add_argument("--symmetrize", choices=[r.value for r in SymmetrizeRule], default=None)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("classify", parents=[common],
@@ -129,8 +128,7 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--high-t", type=float, dest="high_t", default=None)
     p.add_argument("--low-t", type=float, dest="low_t", default=None)
     p.add_argument("--k-max", type=int, dest="k_max", default=None)
-    p.add_argument("--symmetrize", type=SymmetrizeRule, default=None,
-                   choices=list(SymmetrizeRule))
+    p.add_argument("--symmetrize", choices=[r.value for r in SymmetrizeRule], default=None)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -138,6 +136,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     flag_values = {
         key: getattr(args, key) for key in RunConfig._fields if hasattr(args, key)
     }
+    if flag_values.get("symmetrize") is not None:
+        flag_values["symmetrize"] = SymmetrizeRule(flag_values["symmetrize"])
     return build_config(file_values, os.environ.get(OUT_DIR_ENV), flag_values)
 
 

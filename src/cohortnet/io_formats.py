@@ -409,10 +409,15 @@ def _export_dot(net, genders, marks, partition) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _export_graphml(net, genders, marks, partition) -> bytes:
-    import xml.etree.ElementTree as ET
+# how xml.etree escapes an attribute value, on every supported CPython
+_XML_ATTR = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                           "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
-    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+
+def _export_graphml(net, genders, marks, partition) -> bytes:
+    """The bytes of xml.etree's indent() and tostring(xml_declaration=True), plus a newline."""
+    lines = ["<?xml version='1.0' encoding='UTF-8'?>",
+             '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">']
     keys = []
     if genders is not None:
         keys.append(("d_gender", "gender", "string"))
@@ -420,24 +425,26 @@ def _export_graphml(net, genders, marks, partition) -> bytes:
         keys.append(("d_mark", "mark", "double"))
     if partition is not None:
         keys.append(("d_cluster", "cluster", "int"))
-    for key_id, name, typ in keys:
-        ET.SubElement(
-            root, "key", id=key_id, attrib={"for": "node"},
-            **{"attr.name": name, "attr.type": typ},
-        )
-    graph = ET.SubElement(root, "graph", id=net.label, edgedefault="directed")
+    lines += [f'  <key for="node" id="{key_id}" attr.name="{name}" attr.type="{typ}" />'
+              for key_id, name, typ in keys]
+    graph = f'  <graph id="{net.label.translate(_XML_ATTR)}" edgedefault="directed"'
+    body = []
     for v in sorted(net.nodes):
-        node = ET.SubElement(graph, "node", id=str(v))
+        data = []
         if genders is not None and v in genders:
-            ET.SubElement(node, "data", key="d_gender").text = genders[v].value
+            data.append(f'      <data key="d_gender">{genders[v].value}</data>')
         if marks is not None:
-            ET.SubElement(node, "data", key="d_mark").text = repr(float(marks[v]))
+            data.append(f'      <data key="d_mark">{float(marks[v])!r}</data>')
         if partition is not None:
-            ET.SubElement(node, "data", key="d_cluster").text = str(partition.assignment[v])
-    for src, tgt in sorted(net.edges):
-        ET.SubElement(graph, "edge", source=str(src), target=str(tgt))
-    ET.indent(root)
-    return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"
+            data.append(f'      <data key="d_cluster">{partition.assignment[v]}</data>')
+        if data:
+            body += [f'    <node id="{v}">', *data, "    </node>"]
+        else:
+            body.append(f'    <node id="{v}" />')
+    body += [f'    <edge source="{s}" target="{t}" />' for s, t in sorted(net.edges)]
+    lines += [graph + ">", *body, "  </graph>"] if body else [graph + " />"]
+    lines.append("</graphml>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # -- analysis artifacts -------------------------------------------------------

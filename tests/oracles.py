@@ -7,7 +7,8 @@ the fast paths they check. The frozen references at the end are copies of
 earlier library loops, kept so optimized code can be held to exact equality;
 the division-loop copy builds the library's result types so whole traces
 compare with ==, and the matrix-parser copy reads its table with the
-library's own CSV reader, so that only the cell checks differ.
+library's own CSV reader, so that only the cell checks differ. The GraphML
+copy is the xml.etree writer whose bytes the text writer reproduces.
 """
 
 from __future__ import annotations
@@ -265,6 +266,25 @@ def power_iteration_ref(nbrs, tol=1e-10, cap=1000):
     return x
 
 
+def closeness_ref(nbrs):
+    """Closeness by one BFS per source: (n-1) / sum of distances, 0.0 for a lone node."""
+    n = len(nbrs)
+    scores = []
+    for i in range(n):
+        dist = [-1] * n
+        dist[i] = 0
+        seen = [i]
+        for u in seen:  # the visit list doubles as the queue
+            d1 = dist[u] + 1
+            for w in nbrs[u]:
+                if dist[w] < 0:
+                    dist[w] = d1
+                    seen.append(w)
+        total = sum(dist)  # connected, so every distance is set
+        scores.append((n - 1) / total if total else 0.0)
+    return scores
+
+
 def modularity_ref(view, p):
     """Newman-Girvan Q as a left fold from the int 0, cluster by cluster.
 
@@ -483,3 +503,35 @@ def save_cohort_ref(cohort):
         "edges": [list(e) for e in sorted(cohort.network.edges)],
     }
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def export_graphml_ref(net, genders, marks, partition):
+    """The GraphML export as xml.etree builds, indents and serializes it."""
+    import xml.etree.ElementTree as ET
+
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    keys = []
+    if genders is not None:
+        keys.append(("d_gender", "gender", "string"))
+    if marks is not None:
+        keys.append(("d_mark", "mark", "double"))
+    if partition is not None:
+        keys.append(("d_cluster", "cluster", "int"))
+    for key_id, name, typ in keys:
+        ET.SubElement(
+            root, "key", id=key_id, attrib={"for": "node"},
+            **{"attr.name": name, "attr.type": typ},
+        )
+    graph = ET.SubElement(root, "graph", id=net.label, edgedefault="directed")
+    for v in sorted(net.nodes):
+        node = ET.SubElement(graph, "node", id=str(v))
+        if genders is not None and v in genders:
+            ET.SubElement(node, "data", key="d_gender").text = genders[v].value
+        if marks is not None:
+            ET.SubElement(node, "data", key="d_mark").text = repr(float(marks[v]))
+        if partition is not None:
+            ET.SubElement(node, "data", key="d_cluster").text = str(partition.assignment[v])
+    for src, tgt in sorted(net.edges):
+        ET.SubElement(graph, "edge", source=str(src), target=str(tgt))
+    ET.indent(root)
+    return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"

@@ -528,6 +528,30 @@ class TestDemoAndConfig:
         assert main(["analyze", "x.json", "--measure", "betweenness",
                      "--bogus"]) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "plan"])
+    def test_symmetrize_help_lists_rule_names(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--symmetrize {union,intersection}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["SymmetrizeRule.UNION", "bogus"])
+    def test_unknown_symmetrize_rule_usage_error(self, tmp_path, capsys, value):
+        cohort = barbell_cohort(tmp_path)
+        assert main(["analyze", str(cohort), "--communities", "--symmetrize", value,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --symmetrize: ")
+        assert "union" in err and "intersection" in err
+
+    def test_symmetrize_union_is_the_default(self, tmp_path):
+        cohort = barbell_cohort(tmp_path)
+        for out, flags in (("a", []), ("b", ["--symmetrize", "union"])):
+            assert main(["analyze", str(cohort), "--communities", *flags,
+                         "--out-dir", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "a" / "partition.csv").read_bytes()
+                == (tmp_path / "b" / "partition.csv").read_bytes())
+
     def test_bad_threshold_combo_usage_error(self, tmp_path):
         cohort = path_cohort(tmp_path)
         assert main(["plan", str(cohort), "--high-t", "50", "--low-t", "60",

@@ -28,6 +28,9 @@ GOLDEN = {
     "graph.dot": "5bef26d31f4993e52af5bd63aa7c184b06b3ea3cb7c9a6a76f66d6d096b5f54a",
     "graph.graphml": "dd2c81da3938de04b64d264b0776e9b1fd2e2783c4e4c82ca6005fc054f9e420",
 }
+# `analyze --measure closeness --top 3` on the same cohort. Closeness sums
+# integer distances, so every supported CPython writes these bytes.
+CLOSENESS_CSV = "4c9e2a3ec9d90c9b799b9d6b94832b54441febca97d54aa3a4592ef6dea394e0"
 
 
 def _sha(path):
@@ -66,3 +69,4 @@ def test_top_with_closeness_keeps_representatives(demo_out, tmp_path):
     assert main(["analyze", str(demo_out / "cohort.json"), "--measure", "closeness",
                  "--top", "3", "--out-dir", str(tmp_path)]) == 0
     assert _sha(tmp_path / "representatives.csv") == GOLDEN["representatives.csv"]
+    assert _sha(tmp_path / "centrality_closeness.csv") == CLOSENESS_CSV

@@ -12,6 +12,7 @@ from cohortnet import (
     Student,
     build_network,
     make_cohort,
+    partition_from_blocks,
 )
 from cohortnet.cli import main
 from cohortnet.errors import DataError
@@ -30,8 +31,8 @@ from cohortnet.io_formats import (
 )
 
 from conftest import mknet
-from oracles import parse_adjacency_ref, save_cohort_ref
-from strategies import cohorts
+from oracles import export_graphml_ref, parse_adjacency_ref, save_cohort_ref
+from strategies import cohorts, directed_networks
 
 ROSTER = "id,gender,mark_s5\n1,M,80\n2,F,55\n"
 
@@ -229,7 +230,45 @@ class TestAdjacency:
         assert all((t, s) in net.edges for s, t in net.edges)
 
 
+# Labels of XML 1.0 Chars, weighted towards the ones an attribute value escapes
+# and the apostrophe, which it does not.
+xml_labels = st.text(st.one_of(
+    st.sampled_from("&<>\"'\r\n\t"),
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000),
+))
+
+
+@st.composite
+def graphml_exports(draw):
+    """(network, genders, marks, partition): each attribute map present or not,
+    genders possibly missing some nodes."""
+    base = draw(directed_networks(min_nodes=0, max_nodes=6))
+    net = mknet(sorted(base.edges), base.nodes, label=draw(xml_labels))
+    nodes = sorted(net.nodes)
+    genders = draw(st.none() | st.dictionaries(st.sampled_from(nodes), st.sampled_from(Gender))
+                   if nodes else st.sampled_from([None, {}]))
+    marks = draw(st.none() | st.fixed_dictionaries(
+        {v: st.integers(0, 100) | st.floats(0, 100) for v in nodes}))
+    partition = None
+    if nodes and draw(st.booleans()):
+        labels = {v: draw(st.integers(0, 3)) for v in nodes}
+        partition = partition_from_blocks(
+            [{v for v in nodes if labels[v] == c} for c in set(labels.values())])
+    return net, genders, marks, partition
+
+
 class TestGraphExport:
+    @example((mknet([], nodes=set()), None, None, None))
+    @example((mknet([], nodes=set()), {}, {}, None))
+    @given(graphml_exports())
+    def test_graphml_is_the_etree_layout(self, export):
+        net, genders, marks, partition = export
+        data = export_graph(net, GraphFormat.GRAPHML, genders=genders, marks=marks,
+                            partition=partition)
+        assert data == export_graphml_ref(net, genders, marks, partition)
+
     def test_dot_styling(self):
         net = mknet([], nodes={1})
         data = export_graph(

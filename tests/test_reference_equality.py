@@ -12,7 +12,7 @@ import threading
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohortnet import (
@@ -21,6 +21,7 @@ from cohortnet import (
     best_partition,
     betweenness,
     centrality,
+    closeness,
     edge_betweenness,
     eigenvector,
     girvan_newman,
@@ -31,10 +32,11 @@ from cohortnet import (
 from cohortnet.community import _edge_betweenness_subset
 from cohortnet.errors import AnalysisError
 
-from conftest import mknet, mkview
+from conftest import SYMMETRIC, mknet, mkview, symmetric_network
 from oracles import (
     best_partition_ref,
     brandes_ref,
+    closeness_ref,
     edge_betweenness_subset_ref,
     girvan_newman_ref,
     index_adjacency_ref,
@@ -55,21 +57,37 @@ def _betweenness_ref(net, mode):
     return dict(zip(order, raw))
 
 
-def _assert_betweenness_exact(net):
+def _betweenness_refs(net):
+    return {mode: _betweenness_ref(net, mode) for mode in Mode}
+
+
+def _assert_betweenness_exact(net, refs=None):
+    refs = refs or _betweenness_refs(net)
     for mode in Mode:
-        assert betweenness(net, mode).scores == _betweenness_ref(net, mode)
+        assert betweenness(net, mode).scores == refs[mode]
 
 
-def _assert_edge_betweenness_exact(view):
-    members = sorted(view.nodes)
-    assert edge_betweenness(view) == edge_betweenness_subset_ref(members, view.adjacency)
-    # the division loop calls the kernel per component, on mutable adjacency sets
+def _edge_betweenness_refs(view):
+    """The whole view's reference, then one per component on mutable adjacency
+    sets, as the division loop calls the kernel."""
     adjacency = {v: set(view.adjacency[v]) for v in view.nodes}
-    for comp in view.components():
-        ms = sorted(comp)
-        assert _edge_betweenness_subset(ms, adjacency) == edge_betweenness_subset_ref(
-            ms, adjacency
-        )
+    return (edge_betweenness_subset_ref(sorted(view.nodes), view.adjacency),
+            [edge_betweenness_subset_ref(sorted(comp), adjacency) for comp in view.components()])
+
+
+def _assert_edge_betweenness_exact(view, refs=None):
+    whole, per_component = refs or _edge_betweenness_refs(view)
+    assert edge_betweenness(view) == whole
+    adjacency = {v: set(view.adjacency[v]) for v in view.nodes}
+    for comp, expected in zip(view.components(), per_component, strict=True):
+        assert _edge_betweenness_subset(sorted(comp), adjacency) == expected
+
+
+def _assert_closeness_exact(net):
+    order = sorted(net.nodes)
+    union = symmetrize(net, SymmetrizeRule.UNION).adjacency
+    expected = closeness_ref(index_adjacency_ref(order, union))
+    assert closeness(net).scores == dict(zip(order, expected))
 
 
 def _assert_eigenvector_exact(view):
@@ -98,9 +116,37 @@ def test_edge_betweenness_matches_reference(view):
 
 
 @settings(max_examples=100, deadline=None)
+@example(mkview([(0, 1), (0, 2), (1, 2)], nodes={3}))  # an isolated node: an empty row
+@example(mkview([(0, 1), (0, 2), (1, 2), (2, 3)]))  # a pendant node: a one-entry row
 @given(undirected_views(max_nodes=16))
 def test_power_iteration_matches_reference(view):
     _assert_eigenvector_exact(view)
+
+
+def _connected(view):
+    """The network of ``view``'s edges plus one tie from each component to the next."""
+    comps = view.components()
+    bridges = [(min(a), min(b)) for a, b in zip(comps, comps[1:])]
+    return mknet(sorted(view.edges) + bridges, view.nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(undirected_views(min_nodes=1, max_nodes=16))
+def test_closeness_matches_reference(view):
+    _assert_closeness_exact(_connected(view))
+
+
+CLOSENESS_GRAPHS = {
+    **{name: symmetric_network(name) for name in SYMMETRIC},
+    "path": mknet([(i, i + 1) for i in range(7)]),
+    "star": mknet([(0, i) for i in range(1, 8)]),
+    "one_node": mknet([], nodes={5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSENESS_GRAPHS))
+def test_closeness_on_fixed_graphs_matches_reference(name):
+    _assert_closeness_exact(CLOSENESS_GRAPHS[name])
 
 
 def _partition_of(labels):
@@ -121,14 +167,23 @@ def test_modularity_matches_left_fold(view, data):
     assert modularity(view, p) == modularity_ref(view, p)
 
 
-def test_planted_communities_n400_match_reference():
+@pytest.fixture(scope="module")
+def planted400():
+    """The seed-400 planted graph, its union view and their betweenness
+    references, computed once for the n=400 tests that share them."""
     nodes, edges = planted_community_edges(seed=400)
     net = mknet(edges, nodes)
     view = symmetrize(net, SymmetrizeRule.UNION)
+    return net, view, _betweenness_refs(net), _edge_betweenness_refs(view)
+
+
+def test_planted_communities_n400_match_reference(planted400):
+    net, view, node_refs, edge_refs = planted400
     assert len(view.components()) == 1
-    _assert_betweenness_exact(net)
-    _assert_edge_betweenness_exact(view)
+    _assert_betweenness_exact(net, node_refs)
+    _assert_edge_betweenness_exact(view, edge_refs)
     _assert_eigenvector_exact(view)
+    _assert_closeness_exact(net)  # beyond the reach of path enumeration
     for size in (3, 8, 40, 200):  # 134 down to 2 clusters
         p = _partition_of({v: v // size for v in view.nodes})
         assert modularity(view, p) == modularity_ref(view, p)
@@ -303,14 +358,12 @@ def test_rows_over_the_byte_budget_stay_on_one_cpu(monkeypatch):
     assert_no_child_left()
 
 
-def test_planted_n400_on_one_cpu_matches_reference():
+def test_planted_n400_on_one_cpu_matches_reference(planted400):
     # the serial path on a graph large enough to fork where CPUs allow
-    nodes, edges = planted_community_edges(seed=400)
-    net = mknet(edges, nodes)
-    view = symmetrize(net, SymmetrizeRule.UNION)
+    net, view, node_refs, edge_refs = planted400
     with forking(1, fork=_refuse_fork, min_block=centrality.FORK_MIN_BLOCK):
-        _assert_betweenness_exact(net)
-        _assert_edge_betweenness_exact(view)
+        _assert_betweenness_exact(net, node_refs)
+        _assert_edge_betweenness_exact(view, edge_refs)
         _assert_division_exact(view, stop_at_k=3)
 
 
