@@ -201,6 +201,9 @@ def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
 
 
 def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
+    if args.symmetrize is not None and not args.communities:
+        # each measure fixes its own view; a config file's symmetrize= is for the others
+        raise UsageError("--symmetrize needs --communities: no --measure reads it")
     cohort = _load_cohort(args.cohort)
     net = cohort.network
     out = cfg.out_dir

@@ -14,9 +14,10 @@ import csv
 import io
 import json
 import math
+import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 from .errors import DataError
 from .model import Cohort, FriendshipNetwork, Gender, Partition, Student, make_cohort
@@ -117,7 +118,11 @@ def _parse_id(cell: str, line: int) -> int:
         raise DataError(f"id {cell} must be non-negative", line=line)
     if cell.startswith("0") and cell != "0":
         raise DataError(f"id {cell!r} has a leading zero", line=line)
-    return int(cell)
+    try:
+        return int(cell)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise DataError(f"id of {len(cell)} digits is over the limit of "
+                        f"{sys.get_int_max_str_digits()} digits", line=line) from None
 
 
 # -- roster -------------------------------------------------------------------
@@ -196,24 +201,81 @@ def export_edges(net: FriendshipNetwork) -> bytes:
 # -- adjacency matrix ---------------------------------------------------------
 
 _BINARY = frozenset(("0", "1"))
+_Row = TypeVar("_Row")  # a body row: one line, or the csv reader's cells
 
 
 def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
     """Parse a square 0/1 matrix; entry (r, c) = 1 yields the edge (r, c)."""
-    header_line, header, rows = _table(data, "adjacency")
+    text = _text(data)
+    ids, rows = _plain_matrix(text) or _csv_matrix(text)
+    edges = []
+    for row_id, bits in zip(ids, rows):
+        col = bits.find("1")
+        while col != -1:
+            edges.append((row_id, ids[col]))
+            col = bits.find("1", col + 1)
+    return edges
+
+
+def _matrix_head(
+    header_line: int, header: list[str], rows: Iterable[tuple[int, _Row]]
+) -> tuple[list[int], list[tuple[int, _Row]]]:
+    """The header's ids and the body rows: the header is checked before a row is read
+    (reading one may be refused), and the number of rows once all are read."""
     if len(header) < 2:
         raise DataError("adjacency header needs at least one id column", line=header_line)
     ids = [_parse_id(cell, header_line) for cell in header[1:]]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate id in adjacency header", line=header_line)
-    n = len(ids)
     body = list(rows)
-    if len(body) != n:
+    if len(body) != len(ids):
         raise DataError(
-            f"{n} id columns but {len(body)} data rows", line=body[-1][0] if body else header_line
+            f"{len(ids)} id columns but {len(body)} data rows",
+            line=body[-1][0] if body else header_line,
         )
-    edges = []
-    for pos, (line, row) in enumerate(_fields(body, n + 1)):
+    return ids, body
+
+
+def _plain_matrix(text: str) -> tuple[list[int], list[str]] | None:
+    """The ids and each row's cells as one string of 0s and 1s, read without building
+    cells; None when the csv reader must read the text, or when a row fails the checks
+    here, so that _csv_matrix names the fault.
+
+    A text with no quote, no NUL (3.10's csv refuses it, 3.11+ reads it) and no line
+    over csv.field_size_limit() holds one csv record per non-blank line, where LF,
+    CRLF or a lone CR ends a line, and the record's cells are line.split(",").
+    """
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    records = [(num, line) for num, line in enumerate(lines, start=1) if line]
+    if not records:
+        return None
+    (header_line, first), *rest = records
+    header = first.split(",")
+    ids, body = _matrix_head(header_line, header, rest)
+    n = len(ids)
+    width, commas = 2 * n - 1, "," * (n - 1)
+    rows = []
+    for pos, (_, row) in enumerate(body):
+        label, _, cells = row.partition(",")
+        bits = cells[::2]
+        # header[pos + 1] passed _parse_id, so it is the only spelling of ids[pos]
+        if not (len(cells) == width and cells[1::2] == commas and bits[pos] == "0"
+                and bits.count("0") + bits.count("1") == n and label == header[pos + 1]):
+            return None
+        rows.append(bits)
+    return ids, rows
+
+
+def _csv_matrix(text: str) -> tuple[list[int], list[str]]:
+    """The ids and each row's cells as one string, from the csv reader's cells; a row is
+    refused for its width, then its label, then its first bad cell in column order."""
+    ids, body = _matrix_head(*_table(text, "adjacency"))
+    rows = []
+    for pos, (line, row) in enumerate(_fields(body, len(ids) + 1)):
         row_id = _parse_id(row[0], line)
         if row_id != ids[pos]:
             raise DataError(
@@ -227,12 +289,8 @@ def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
             if cell == "1":
                 raise DataError(f"diagonal entry for id {row_id} is 1", line=line)
             raise DataError(f"column {col + 2}: entry {cell!r} is not 0 or 1", line=line)
-        bits = "".join(cells)  # one character per column
-        col = bits.find("1")
-        while col != -1:
-            edges.append((row_id, ids[col]))
-            col = bits.find("1", col + 1)
-    return edges
+        rows.append("".join(cells))  # one character per column
+    return ids, rows
 
 
 def export_adjacency(net: FriendshipNetwork) -> bytes:
@@ -311,6 +369,9 @@ def load_cohort(data: bytes | str) -> Cohort:
         doc = json.loads(_text(data))
     except json.JSONDecodeError as exc:
         raise DataError(f"cohort file is not valid JSON: {exc}") from None
+    except ValueError:  # an integer with more digits than sys.get_int_max_str_digits()
+        raise DataError(f"cohort file: an integer is over the limit of "
+                        f"{sys.get_int_max_str_digits()} digits") from None
     try:
         label = doc["label"]
         if not isinstance(label, str):

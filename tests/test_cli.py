@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -315,6 +316,62 @@ class TestInputHardening:
                      "--out-dir", str(tmp_path / "out")]) == 2
 
 
+@pytest.fixture
+def int_digit_limit():
+    """int() reads at most 4,300 digits (CPython's default) for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+LONG_ID = "1" * 5000
+
+
+class TestOverLongIntegers:
+    """A number with more digits than int() reads is refused, never a traceback."""
+
+    @pytest.mark.parametrize("source, roster, ties, line", [
+        ("edges", f"id,gender\n1,M\n{LONG_ID},F\n", "source,target\n", 3),
+        ("edges", ROSTER, f"source,target\n1,2\n2,{LONG_ID}\n", 3),
+        ("adjacency", ROSTER, f",1,{LONG_ID}\n1,0,0\n{LONG_ID},0,0\n", 1),
+        ("adjacency", ROSTER, f",1,2\n1,0,1\n{LONG_ID},0,0\n", 3),
+    ], ids=["roster-id", "edge-endpoint", "adjacency-header-id", "adjacency-row-label"])
+    def test_ingest_refuses_with_line(self, tmp_path, capsys, int_digit_limit,
+                                      source, roster, ties, line):
+        (tmp_path / "roster.csv").write_text(roster)
+        (tmp_path / "ties.csv").write_text(ties)
+        out = tmp_path / "out"
+        assert main(["ingest", "--roster", str(tmp_path / "roster.csv"), f"--{source}",
+                     str(tmp_path / "ties.csv"), "--out", str(out / "c.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: line {line}: id of 5000 digits is over the limit of 4300 digits\n")
+        assert not out.exists()
+
+    def test_partition_node_refused_with_line(self, tmp_path, capsys, int_digit_limit):
+        (tmp_path / "p.csv").write_text(f"node,cluster\n1,0\n{LONG_ID},1\n")
+        out = tmp_path / "out"
+        assert main(["classify", str(path_cohort(tmp_path)), "--partition",
+                     str(tmp_path / "p.csv"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: line 3: id of 5000 digits is over the limit of 4300 digits\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("student", [
+        '{"id": ' + "1" * 5001 + ', "gender": "U", "marks": {"s5": 50}}',
+        '{"id": 1, "gender": "U", "marks": {"s5": ' + "1" * 5001 + '}}',
+    ], ids=["id", "integer-mark"])
+    def test_cohort_file_refused(self, tmp_path, capsys, int_digit_limit, student):
+        (tmp_path / "c.json").write_text(
+            f'{{"label": "t", "edges": [], "students": [{student}]}}')
+        out = tmp_path / "out"
+        assert main(["report", str(tmp_path / "c.json"), "--semester", "s5",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: cohort file: an integer is over the limit of 4300 digits\n")
+        assert not out.exists()
+
+
 class TestAnalyze:
     def test_betweenness_csv(self, tmp_path):
         cohort = path_cohort(tmp_path)
@@ -551,6 +608,23 @@ class TestDemoAndConfig:
                          "--out-dir", str(tmp_path / out)]) == 0
         assert ((tmp_path / "a" / "partition.csv").read_bytes()
                 == (tmp_path / "b" / "partition.csv").read_bytes())
+
+    @pytest.mark.parametrize("measure", ["closeness", "eigenvector", "betweenness", "degree"])
+    def test_symmetrize_without_communities_usage_error(self, tmp_path, capsys, measure):
+        # every measure fixes its own view, so the flag would be ignored
+        out = tmp_path / "out"
+        assert main(["analyze", str(path_cohort(tmp_path)), "--measure", measure,
+                     "--symmetrize", "intersection", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --symmetrize needs --communities: no --measure reads it\n")
+        assert not out.exists()
+
+    def test_symmetrize_config_key_still_read_with_measure(self, tmp_path):
+        # classify and plan read the key, so a shared config file may set it
+        (tmp_path / "run.cfg").write_text("symmetrize=intersection\n")
+        assert main(["analyze", str(path_cohort(tmp_path)), "--measure", "closeness",
+                     "--config", str(tmp_path / "run.cfg"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_bad_threshold_combo_usage_error(self, tmp_path):
         cohort = path_cohort(tmp_path)

@@ -9,6 +9,7 @@ import hashlib
 import pytest
 
 from cohortnet.cli import main
+from cohortnet.io_formats import export_adjacency, load_cohort
 
 GOLDEN = {
     "roster.csv": "3f93a8cc68edff1b4bbee5059f82ead3cc25ddf15c45607e861156fbcf4bcd03",
@@ -43,10 +44,17 @@ def demo_out(tmp_path_factory):
     d = ["--out-dir", str(out)]
     cohort = str(out / "cohort.json")
     partition = str(out / "partition.csv")
+    assert main(["demo", "--seed", "7"] + d) == 0
+    matrix = export_adjacency(load_cohort((out / "cohort.json").read_bytes()).network)
+    (out / "adjacency_lf.csv").write_bytes(matrix)
+    (out / "adjacency_crlf.csv").write_bytes(matrix.replace(b"\n", b"\r\n"))
     commands = [
-        ["demo", "--seed", "7"],
         ["ingest", "--roster", str(out / "roster.csv"), "--edges", str(out / "edges.csv"),
          "--label", "demo", "--out", str(out / "ingested.json")],
+        *(["ingest", "--roster", str(out / "roster.csv"),
+           "--adjacency", str(out / f"adjacency_{eol}.csv"),
+           "--label", "demo", "--out", str(out / f"ingested_{eol}.json")]
+          for eol in ("lf", "crlf")),
         ["analyze", cohort, "--communities"],
         ["analyze", cohort, "--measure", "betweenness", "--top", "3"],
         ["classify", cohort, "--partition", partition],
@@ -63,6 +71,12 @@ def demo_out(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_hash(demo_out, name):
     assert _sha(demo_out / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("eol", ["lf", "crlf"])
+def test_ingest_adjacency_matches_edge_list(demo_out, eol):
+    # the demo's ties as an exported matrix: the same ties and label, the same file
+    assert _sha(demo_out / f"ingested_{eol}.json") == GOLDEN["ingested.json"]
 
 
 def test_top_with_closeness_keeps_representatives(demo_out, tmp_path):

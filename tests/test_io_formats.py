@@ -1,3 +1,4 @@
+import csv
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -172,14 +173,39 @@ def outcome(parse, data):
 
 
 # Raw CSV cell texts the matrix parser refuses ('"0,1"' is one quoted cell);
-# "1" is a fault only on the diagonal.
-CELL_FAULTS = ["", "00", "01", "10", " 1", "-0", '"0,1"', "\uff11", "\uff10", "1"]
+# "1" is a fault only on the diagonal. The quoted '"0"' and '"1"' are read as
+# bare cells, and like a NUL they send the whole text through the csv reader.
+CELL_FAULTS = ["", "00", "01", "10", " 1", "-0", '"0,1"', "\uff11", "\uff10", "1",
+               '"0"', '"1"', "\0", "0\0"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def _retype(draw, row):
+    """The row with a comma after its label moved, or one character after its
+    label overwritten by a comma, 0 or 1; either way it keeps its length."""
+    start = row.index(",") + 1
+    if start == len(row):
+        return row
+    if draw(st.booleans()):
+        i = draw(st.integers(start, len(row) - 1))
+        return row[:i] + draw(st.sampled_from(",01")) + row[i + 1:]
+    commas = [i for i, c in enumerate(row) if c == "," and i >= start]
+    if not commas:
+        return row
+    i = draw(st.sampled_from(commas))
+    rest = row[:i] + row[i + 1:]
+    j = draw(st.integers(start, len(rest)))
+    return rest[:j] + "," + rest[j:]
 
 
 @st.composite
 def faulty_matrices(draw):
     """A 0/1 matrix with a zero diagonal and up to four cells overwritten by
-    faults, often in one row; ids in any order, LF or CRLF line ends."""
+    faults, often in one row; ids in any order. Lines end at LF, CRLF or CR, the
+    same in every line or mixed. A header id or a row label may be quoted, have a
+    leading zero or name another row; a comma may be moved or a character
+    overwritten, and blank or whitespace-only lines put between rows; sometimes
+    only the header, or nothing, is left."""
     n = draw(st.integers(1, 6))
     ids = draw(st.permutations(range(10, 10 + n)))
     grid = [["0" if r == c else draw(st.sampled_from("01")) for c in range(n)] for r in range(n)]
@@ -187,10 +213,34 @@ def faulty_matrices(draw):
         r = draw(st.integers(0, n - 1))
         c = draw(st.one_of(st.just(r), st.integers(0, n - 1)))
         grid[r][c] = draw(st.sampled_from(CELL_FAULTS))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
-    lines = [",".join(["", *map(str, ids)])]
-    lines += [",".join([str(i), *row]) for i, row in zip(ids, grid)]
-    return eol.join(lines) + eol
+    header, labels = [str(i) for i in ids], [str(i) for i in ids]
+    for names in (header, labels):  # quoted, with a leading zero, or another row's
+        if draw(st.integers(0, 4)) == 0:
+            k = draw(st.integers(0, n - 1))
+            names[k] = draw(st.sampled_from([f'"{ids[k]}"', f"0{ids[k]}", str(ids[-1 - k])]))
+    lines = [",".join(["", *header])]
+    lines += [",".join([label, *row]) for label, row in zip(labels, grid)]
+    if draw(st.integers(0, 2)) == 0:
+        r = draw(st.integers(1, n))
+        lines[r] = _retype(draw, lines[r])
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "", " ", "\t"])))
+    if draw(st.integers(0, 9)) == 0:
+        lines = lines[:draw(st.integers(0, 1))]
+    if draw(st.booleans()):
+        ends = [draw(st.sampled_from(LINE_ENDS))] * len(lines)
+    else:
+        ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
+                             max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.fixture
+def field_limit_20():
+    """csv.field_size_limit() lowered to 20 characters for one test."""
+    old = csv.field_size_limit(20)
+    yield
+    csv.field_size_limit(old)
 
 
 class TestAdjacency:
@@ -216,12 +266,39 @@ class TestAdjacency:
             parse_adjacency(",1,2\n1,0,2\n2,0,0\n")
         assert err.value.line == 2
 
-    @settings(max_examples=300)
+    @settings(max_examples=500)
     # "" and "00" together have the length and the zeros of two valid cells
     @example(",12,13,14,15\n12,0,1,0,0\n13,0,0,0,0\n14,0,0,00,\n15,0,0,0,0\n")
+    @example(",10,11\r10,0,1\r\n\r11,1,0\n")  # a lone CR, CRLF and LF, and a blank line
+    @example(",10,11\n10,0,1\n \n11,1,0\n")  # a whitespace-only line is a row
+    @example(',10,11\n"10",0,1\n11,"1",0\n')  # quoted cells are read by the csv reader
+    @example(",10,11\n10,0,1\n11,1\x00,0\n")  # a NUL: 3.10's csv refuses it, 3.11+ reads it
+    @example(",10,11,12\n10,0,1,0\n11,,10,0\n12,0,0,0\n")  # a comma moved, same length
+    @example(",10,11,12\n10,001,0\n11,0,0,0\n12,0,0,0\n")  # two cells of the right length
+    @example(",10,11\n")
+    @example("")
     @given(faulty_matrices())
     def test_matches_cell_by_cell_reference(self, text):
         assert outcome(parse_adjacency, text) == outcome(parse_adjacency_ref, text)
+
+    @pytest.mark.parametrize("text, expected", [
+        # every line is over the limit, every cell within it: the csv reader reads it
+        ("," + ",".join(map(str, range(10, 20))) + "\n" + "".join(
+            f"{i}," + ",".join("1" if i + 1 == j else "0" for j in range(10, 20)) + "\n"
+            for i in range(10, 20)), [(i, i + 1) for i in range(10, 19)]),
+        (",1,100000000000000000000\n1,0,1\n100000000000000000000,0,0\n",
+         (DataError, "line 1: field larger than field limit (20)", 1)),
+        ("1" * 21 + "\n", (DataError, "line 1: field larger than field limit (20)", 1)),
+        ("1" * 20 + "\n",
+         (DataError, "line 1: adjacency header needs at least one id column", 1)),
+        # the header is refused before the csv reader reaches the long cell
+        ("x\n" + "1" * 21 + "\n",
+         (DataError, "line 1: adjacency header needs at least one id column", 1)),
+        (",1,1\n" + "1" * 21 + "\n", (DataError, "line 1: duplicate id in adjacency header", 1)),
+    ], ids=["long-lines", "long-id", "long-header-cell", "header-cell-at-limit",
+            "bad-header-before-long-cell", "duplicate-id-before-long-cell"])
+    def test_line_over_field_limit_matches_reference(self, field_limit_20, text, expected):
+        assert outcome(parse_adjacency, text) == outcome(parse_adjacency_ref, text) == expected
 
     def test_symmetric_matrix_fully_reciprocal(self):
         data = ",1,2,3\n1,0,1,1\n2,1,0,0\n3,1,0,0\n"
