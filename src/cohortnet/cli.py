@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import io_formats as iof
-from .config import OUT_DIR_ENV, RunConfig, build_config, load_config_file
+from .config import OUT_DIR_ENV, RunConfig, load_config_file
 from .errors import AnalysisError, DataError, UsageError
 from .model import Cohort, Measure, Mode, Partition, SymmetrizeRule, make_cohort, symmetrize
 
@@ -132,13 +132,15 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    flag_values = {
-        key: getattr(args, key) for key in RunConfig._fields if hasattr(args, key)
-    }
-    if flag_values.get("symmetrize") is not None:
-        flag_values["symmetrize"] = SymmetrizeRule(flag_values["symmetrize"])
-    return build_config(file_values, os.environ.get(OUT_DIR_ENV), flag_values)
+    """Flags win, then the environment, then the config file, then the defaults."""
+    values = load_config_file(args.config) if args.config else {}
+    if os.environ.get(OUT_DIR_ENV):
+        values["out_dir"] = Path(os.environ[OUT_DIR_ENV])
+    values.update((key, getattr(args, key)) for key in RunConfig._fields
+                  if getattr(args, key, None) is not None)
+    if "symmetrize" in values:  # a flag's value is still the rule's name
+        values["symmetrize"] = SymmetrizeRule(values["symmetrize"])
+    return RunConfig(**values)  # type: ignore[arg-type]
 
 
 def _load_cohort(path: Path) -> Cohort:

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from .centrality import _fold_sources, _index_adjacency, _shortest_path_dag, top_k
 from .errors import AnalysisError, DataError
-# Partition and partition_from_blocks are re-exported from here
 from .model import Partition, UndirectedView, _components, partition_from_blocks
 
 DEFAULT_K_MAX = 15

@@ -1,4 +1,4 @@
-"""Run configuration with flag > environment > config file > default precedence."""
+"""Run settings and their key=value file; the CLI applies flag > environment > file > default."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DataError, UsageError
-from .io_formats import _text
+from .io_formats import _lines, _text
 from .model import (
     SymmetrizeRule,
     _check_bin_width,
@@ -70,9 +70,7 @@ def load_config_file(path: Path) -> dict[str, object]:
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     values: dict[str, object] = {}
-    # LF, CRLF and a lone CR each end one line, as in io_formats._records
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -88,16 +86,3 @@ def load_config_file(path: Path) -> dict[str, object]:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
-
-def build_config(
-    file_values: dict[str, object],
-    env_out_dir: str | None,
-    flag_values: dict[str, object],
-) -> RunConfig:
-    """Merge the three layers; flags win, then the environment, then the file."""
-    merged: dict[str, object] = {}
-    merged.update(file_values)
-    if env_out_dir:
-        merged["out_dir"] = Path(env_out_dir)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    return RunConfig(**merged)  # type: ignore[arg-type]

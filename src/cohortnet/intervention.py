@@ -18,7 +18,6 @@ from __future__ import annotations
 import statistics
 from collections.abc import Mapping
 from enum import Enum
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import AnalysisError, DataError
@@ -94,69 +93,44 @@ def plan_intervention(
             "least one high-performing cluster to host the moved students"
         )
 
-    drafts: list[SimpleNamespace] = []  # mutable groups; each becomes a PlanGroup
-    low_clusters = []
-    for perf in perfs:  # already ordered by cluster id
-        if perf.perf is PerfClass.LOW:
-            low_clusters.append(perf)
-            continue
-        drafts.append(
-            SimpleNamespace(
-                index=len(drafts),
-                anchor_cluster=perf.cluster,
-                anchor_perf=perf.perf,
-                members=list(perf.members),
-                dispersed=set(),
-                overflow=False,
-            )
-        )
+    kept = [c for c in perfs if c.perf is not PerfClass.LOW]  # by cluster id
+    members = [list(c.members) for c in kept]  # group i is anchored on kept[i]
+    overflow = [False] * len(kept)
 
     reciprocal = symmetrize(net, SymmetrizeRule.INTERSECTION)
     units: list[list[int]] = []
-    for perf in low_clusters:
+    for c in perfs:
+        if c.perf is not PerfClass.LOW:
+            continue
         if policy.keep_low_subgroups:
-            sub = reciprocal.induced(perf.members)
-            units.extend(sorted(comp) for comp in sub.components())
+            units.extend(sorted(comp) for comp in reciprocal.induced(c.members).components())
         else:
-            units.extend([m] for m in perf.members)
+            units.extend([m] for m in c.members)
     units.sort(key=lambda u: (-len(u), u[0]))
 
-    recipients = [d for d in drafts if d.anchor_perf is PerfClass.HIGH]
+    recipients = [i for i, c in enumerate(kept) if c.perf is PerfClass.HIGH]
     notes: list[str] = []
     for unit in units:
-        takers = [d for d in recipients if len(d.members) + len(unit) <= policy.max_group]
-        pool = takers if takers else recipients
-        target = min(pool, key=lambda d: (len(d.members), d.index))
+        takers = [i for i in recipients if len(members[i]) + len(unit) <= policy.max_group]
+        target = min(takers or recipients, key=lambda i: (len(members[i]), i))
         if not takers:
-            target.overflow = True
+            overflow[target] = True
             notes.append(
-                f"group {target.index} exceeds max_group={policy.max_group}: no "
+                f"group {target} exceeds max_group={policy.max_group}: no "
                 f"group could take the unit {unit} within bounds"
             )
-        target.members.extend(unit)
-        target.dispersed.update(unit)
+        members[target].extend(unit)
 
     groups = []
-    for d in drafts:
-        if len(d.members) < policy.min_group:
+    for i, c in enumerate(kept):
+        if len(members[i]) < policy.min_group:
             notes.append(
-                f"group {d.index} has {len(d.members)} members, below "
-                f"min_group={policy.min_group}"
+                f"group {i} has {len(members[i])} members, below min_group={policy.min_group}"
             )
-        roles = {
-            m: (Role.DISPERSED if m in d.dispersed else Role.PRESERVED)
-            for m in sorted(d.members)
-        }
-        groups.append(
-            PlanGroup(
-                index=d.index,
-                anchor_cluster=d.anchor_cluster,
-                anchor_perf=d.anchor_perf,
-                members=tuple(sorted(d.members)),
-                roles=roles,
-                overflow=d.overflow,
-            )
-        )
+        anchor = set(c.members)
+        ordered = tuple(sorted(members[i]))
+        roles = {m: Role.PRESERVED if m in anchor else Role.DISPERSED for m in ordered}
+        groups.append(PlanGroup(i, c.cluster, c.perf, ordered, roles, overflow[i]))
     return AssignmentPlan(groups=tuple(groups), notes=tuple(notes))
 
 

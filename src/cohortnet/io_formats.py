@@ -43,17 +43,20 @@ class GraphFormat(str, Enum):
     GRAPHML = "graphml"
 
 
+def _lines(text: str) -> list[str]:
+    """The text's lines: LF, CRLF and a lone CR each end one line, as in the csv reader."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _text(data: bytes | str) -> str:
     if isinstance(data, str):
         return data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # LF, CRLF and a lone CR each end one line, as in _records
-        before = data[:exc.start]
-        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         raise DataError(
-            f"byte offset {exc.start}: 0x{data[exc.start]:02x} is not valid UTF-8", line=line
+            f"byte offset {exc.start}: 0x{data[exc.start]:02x} is not valid UTF-8",
+            line=len(_lines(data[:exc.start].decode("utf-8"))),
         ) from None
 
 
@@ -242,12 +245,12 @@ def _plain_matrix(text: str) -> tuple[list[int], list[str]] | None:
     here, so that _csv_matrix names the fault.
 
     A text with no quote, no NUL (3.10's csv refuses it, 3.11+ reads it) and no line
-    over csv.field_size_limit() holds one csv record per non-blank line, where LF,
-    CRLF or a lone CR ends a line, and the record's cells are line.split(",").
+    over csv.field_size_limit() holds one csv record per non-blank line of _lines(text),
+    and the record's cells are line.split(",").
     """
     if '"' in text or "\0" in text:
         return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = _lines(text)
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     records = [(num, line) for num, line in enumerate(lines, start=1) if line]
@@ -372,6 +375,8 @@ def load_cohort(data: bytes | str) -> Cohort:
     except ValueError:  # an integer with more digits than sys.get_int_max_str_digits()
         raise DataError(f"cohort file: an integer is over the limit of "
                         f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:  # e.g. 100,000 nested "["
+        raise DataError("cohort file nests its arrays or objects too deeply") from None
     try:
         label = doc["label"]
         if not isinstance(label, str):

@@ -47,6 +47,8 @@ class Mode(str, Enum):
 
 
 def _check_mark(value: float, context: str) -> None:
+    if isinstance(value, bool):  # saved as JSON true, which load_cohort refuses
+        raise DataError(f"{context}: mark {value!r} is not a number")
     if not 0.0 <= value <= 100.0:
         raise DataError(f"{context}: mark {value!r} outside [0, 100]")
 
@@ -87,6 +89,8 @@ class Student(_StudentFields):
 
     def __new__(cls, id: int, gender: Gender = Gender.UNSPECIFIED,
                 marks: dict[str, float] | None = None) -> Student:
+        if isinstance(id, bool):
+            raise DataError(f"student id {id!r} is not an integer")
         if id < 0:
             raise DataError(f"student id {id} must be non-negative")
         marks = {} if marks is None else marks

@@ -8,7 +8,8 @@ earlier library loops, kept so optimized code can be held to exact equality;
 the division-loop copy builds the library's result types so whole traces
 compare with ==, and the matrix-parser copy reads its table with the
 library's own CSV reader, so that only the cell checks differ. The GraphML
-copy is the xml.etree writer whose bytes the text writer reproduces.
+copy is the xml.etree writer whose bytes the text writer reproduces, and the
+planner copy builds each group as a mutable draft before its PlanGroup record.
 """
 
 from __future__ import annotations
@@ -18,14 +19,22 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 from cohortnet import (
+    AssignmentPlan,
     DivisionStep,
     DivisionTrace,
     ModularityCurve,
     Partition,
+    PerfClass,
+    PlanGroup,
+    Role,
+    SymmetrizeRule,
+    cluster_performance,
     modularity,
     partition_from_blocks,
+    symmetrize,
 )
 from cohortnet.errors import AnalysisError, DataError
 from cohortnet.io_formats import _fields, _parse_id, _table
@@ -535,3 +544,79 @@ def export_graphml_ref(net, genders, marks, partition):
         ET.SubElement(graph, "edge", source=str(src), target=str(tgt))
     ET.indent(root)
     return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"
+
+
+def plan_intervention_ref(net, p, marks, policy):
+    """The planner that fills a SimpleNamespace draft per group, then copies it into a
+    PlanGroup whose roles come from the draft's own set of dispersed members."""
+    perfs = cluster_performance(p, marks, policy.high_t, policy.low_t)
+    if not any(c.perf is PerfClass.HIGH for c in perfs):
+        raise AnalysisError(
+            f"no cluster mean reaches high_t={policy.high_t}; dispersal needs at "
+            "least one high-performing cluster to host the moved students"
+        )
+
+    drafts = []
+    low_clusters = []
+    for perf in perfs:
+        if perf.perf is PerfClass.LOW:
+            low_clusters.append(perf)
+            continue
+        drafts.append(
+            SimpleNamespace(
+                index=len(drafts),
+                anchor_cluster=perf.cluster,
+                anchor_perf=perf.perf,
+                members=list(perf.members),
+                dispersed=set(),
+                overflow=False,
+            )
+        )
+
+    reciprocal = symmetrize(net, SymmetrizeRule.INTERSECTION)
+    units = []
+    for perf in low_clusters:
+        if policy.keep_low_subgroups:
+            sub = reciprocal.induced(perf.members)
+            units.extend(sorted(comp) for comp in sub.components())
+        else:
+            units.extend([m] for m in perf.members)
+    units.sort(key=lambda u: (-len(u), u[0]))
+
+    recipients = [d for d in drafts if d.anchor_perf is PerfClass.HIGH]
+    notes = []
+    for unit in units:
+        takers = [d for d in recipients if len(d.members) + len(unit) <= policy.max_group]
+        pool = takers if takers else recipients
+        target = min(pool, key=lambda d: (len(d.members), d.index))
+        if not takers:
+            target.overflow = True
+            notes.append(
+                f"group {target.index} exceeds max_group={policy.max_group}: no "
+                f"group could take the unit {unit} within bounds"
+            )
+        target.members.extend(unit)
+        target.dispersed.update(unit)
+
+    groups = []
+    for d in drafts:
+        if len(d.members) < policy.min_group:
+            notes.append(
+                f"group {d.index} has {len(d.members)} members, below "
+                f"min_group={policy.min_group}"
+            )
+        roles = {
+            m: (Role.DISPERSED if m in d.dispersed else Role.PRESERVED)
+            for m in sorted(d.members)
+        }
+        groups.append(
+            PlanGroup(
+                index=d.index,
+                anchor_cluster=d.anchor_cluster,
+                anchor_perf=d.anchor_perf,
+                members=tuple(sorted(d.members)),
+                roles=roles,
+                overflow=d.overflow,
+            )
+        )
+    return AssignmentPlan(groups=tuple(groups), notes=tuple(notes))

@@ -315,6 +315,13 @@ class TestInputHardening:
         assert main(["export", str(tmp_path / "c.json"),
                      "--out-dir", str(tmp_path / "out")]) == 2
 
+    def test_deeply_nested_cohort_exit_2(self, tmp_path, capsys):
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        out = tmp_path / "out"
+        assert main(["report", str(tmp_path / "deep.json"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: cohort file")
+        assert not out.exists()
+
 
 @pytest.fixture
 def int_digit_limit():

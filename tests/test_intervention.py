@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cohortnet import (
@@ -14,9 +14,10 @@ from cohortnet import (
     symmetrize,
 )
 from cohortnet.errors import AnalysisError, DataError, UsageError
-from cohortnet.io_formats import plan_csv
+from cohortnet.io_formats import plan_csv, plan_report
 
 from conftest import mknet
+from oracles import plan_intervention_ref
 
 
 def example_case(keep):
@@ -212,3 +213,52 @@ def test_recipient_balance_bounded_by_largest_unit(case):
             unit_sizes += [1] * len(c.members)
     sizes = [len(g.members) for g in receivers]
     assert max(sizes) - min(sizes) <= max(unit_sizes)
+
+
+@st.composite
+def planner_cases(draw):
+    """Any network, partition, marks and policy, a High cluster or none: each cluster's
+    marks come from a high, middling or low band, and the thresholds vary."""
+    n = draw(st.integers(1, 30))
+    nodes = list(range(n))
+    assignment = {v: draw(st.integers(0, 5)) for v in nodes}
+    dense = {c: i for i, c in enumerate(sorted(set(assignment.values())))}
+    assignment = {v: dense[c] for v, c in assignment.items()}
+    bands = [draw(st.sampled_from([(75, 100), (50, 80), (20, 65)])) for _ in dense]
+    marks = {v: float(draw(st.integers(*bands[assignment[v]]))) for v in nodes}
+    pair_pool = [(a, b) for a in nodes for b in nodes if a != b]
+    ties = st.sets(st.sampled_from(pair_pool), max_size=2 * n) if pair_pool else st.just(set())
+    edges = draw(ties)
+    for a, b in draw(ties):  # reciprocal pairs, which keep_low_subgroups keeps together
+        edges |= {(a, b), (b, a)}
+    low_t = draw(st.integers(40, 75))
+    max_group = draw(st.integers(1, n + 2))
+    policy = InterventionPolicy(
+        high_t=draw(st.integers(low_t + 1, 85)),
+        low_t=low_t,
+        min_group=draw(st.integers(1, max_group)),
+        max_group=max_group,
+        keep_low_subgroups=draw(st.booleans()),
+    )
+    return mknet(sorted(edges), nodes=set(nodes)), Partition(assignment, len(dense)), marks, policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(planner_cases())
+def test_plan_matches_frozen_planner(case):
+    marks = case[2]
+    try:
+        expected = plan_intervention_ref(*case)
+    except AnalysisError as exc:
+        event("refused: no High cluster")
+        with pytest.raises(AnalysisError) as refused:
+            plan_intervention(*case)
+        assert str(refused.value) == str(exc)
+        return
+    plan = plan_intervention(*case)
+    event(f"overflow: {any(g.overflow for g in plan.groups)}")
+    event(f"min_group note: {any('min_group' in note for note in plan.notes)}")
+    assert plan == expected
+    assert plan_csv(plan) == plan_csv(expected)
+    assert (plan_report(plan, predicted_group_profile(plan, marks), "s5")
+            == plan_report(expected, predicted_group_profile(expected, marks), "s5"))

@@ -134,6 +134,9 @@ def test_fields_cannot_be_reassigned(cls):
     (lambda: Student(id=-1), DataError, "student id -1 must be non-negative"),
     (lambda: Student(id=1, marks={"s5": 101.0}), DataError,
      "student 1, semester 's5': mark 101.0 outside [0, 100]"),
+    (lambda: Student(id=True), DataError, "student id True is not an integer"),
+    (lambda: Student(id=1, marks={"s5": True}), DataError,
+     "student 1, semester 's5': mark True is not a number"),
     (lambda: Partition(assignment={}, k=0), DataError, "a partition needs at least one node"),
     (lambda: Partition(assignment={1: 0, 2: 2}, k=2), DataError,
      "cluster ids must be exactly 0..1, got [0, 2]"),
@@ -148,7 +151,7 @@ def test_fields_cannot_be_reassigned(cls):
     (lambda: InterventionPolicy(min_group=0), UsageError,
      "need 1 <= min_group <= max_group, got 0..18"),
 ], ids=[
-    "student-id", "student-mark", "partition-empty", "partition-not-dense",
+    "student-id", "student-mark", "student-bool-id", "student-bool-mark", "partition-empty", "partition-not-dense",
     "config-thresholds", "config-k-max", "config-bin-width", "config-group-size",
     "policy-thresholds", "policy-group-size",
 ])
