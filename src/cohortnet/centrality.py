@@ -38,13 +38,9 @@ from .model import (
 
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_CAP = 1000
-# A forked worker costs more than it saves on a block of fewer BFS sources,
-# so a pass forks only from 2 * FORK_MIN_BLOCK sources on.
+# Betweenness sums its BFS sources in fixed blocks of this many; a forked worker
+# costs more than it saves on fewer, so a pass forks only from two full blocks on.
 FORK_MIN_BLOCK = 64
-# The children write their rows into one in-memory file that lives until the
-# pass ends, up to n_sources * width doubles. A pass whose rows exceed this
-# many bytes runs on one CPU, in memory linear in width.
-FORK_MAX_ROW_BYTES = 32 << 20
 CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"  # cgroup v2 CPU quota, read by _usable_cpus
 _Key = TypeVar("_Key", int, tuple[int, int])  # what top_k ranks: a node id or an edge
 
@@ -128,80 +124,86 @@ def _usable_cpus() -> int:
 
 
 def _fold_sources(
-    n_sources: int, width: int, row_of: Callable[[int], list[float]]
+    n_sources: int, width: int, add_sources: Callable[[int, int, list[float]], None]
 ) -> list[float]:
-    """Entry-wise sum of ``row_of(s)`` for s = 0 .. n_sources-1, in ascending s.
+    """Entry-wise sum over sources 0 .. n_sources-1, in fixed blocks of FORK_MIN_BLOCK.
 
-    Every entry receives the same additions in the same order however the
-    rows are computed, so the result is bit-for-bit that of a serial loop.
-    With more than one usable CPU, ``os.memfd_create``, no other thread
-    alive and at most FORK_MAX_ROW_BYTES of rows, the sources are cut into
-    contiguous blocks, one per CPU but none under FORK_MIN_BLOCK sources.
-    Forked children write every block but the first into one in-memory file,
-    row s at byte 8 * width * s; the parent computes the first block, then
-    folds the others in order, recomputing any block whose child failed.
+    ``add_sources(lo, hi, acc)`` adds sources lo .. hi-1 in order into ``acc``.
+    Each block's sum starts at 0.0 and the block sums are added in order, so
+    the result does not depend on which process sums which block. With more
+    than one usable CPU, ``os.memfd_create``, no other thread alive and two
+    full blocks, each worker sums a contiguous run of blocks: forked children
+    write block b's sum at byte 8 * width * b of one in-memory file, and the
+    parent sums the first run, then folds the rest in order, recomputing a
+    failed child's blocks.
     """
-    acc = [0.0] * width
+    n_blocks = -(-n_sources // FORK_MIN_BLOCK)
     row_bytes = 8 * width
+
+    def block_sum(b: int) -> list[float]:
+        acc = [0.0] * width
+        add_sources(b * FORK_MIN_BLOCK, min(n_sources, (b + 1) * FORK_MIN_BLOCK), acc)
+        return acc
+
+    total = [0.0] * width
     workers = 1
-    if (0 < row_bytes * n_sources <= FORK_MAX_ROW_BYTES and hasattr(os, "memfd_create")
-            and threading.active_count() == 1):
+    if width and hasattr(os, "memfd_create") and threading.active_count() == 1:
         workers = max(1, min(_usable_cpus(), n_sources // FORK_MIN_BLOCK))
     fd = -1
     live: set[int] = set()  # children not yet reaped
     try:
         try:
-            fd = os.memfd_create("cohortnet-rows") if workers > 1 else -1
+            fd = os.memfd_create("cohortnet-blocks") if workers > 1 else -1
         except OSError:  # no in-memory file (EMFILE, ENOMEM): stay on one CPU
             workers = 1
-        bounds = [n_sources * k // workers for k in range(workers + 1)]
-        blocks = [(0, bounds[0], bounds[1])]  # (pid, lo, hi); pid 0: no child
+        bounds = [n_blocks * k // workers for k in range(workers + 1)]
+        runs = [(0, bounds[0], bounds[1])]  # (pid, first block, end block); pid 0: no child
         for lo, hi in zip(bounds[1:], bounds[2:]):
             try:
                 pid = os.fork()
-            except OSError:  # no child: the parent computes this block as well
-                blocks.append((0, lo, hi))
+            except OSError:  # no child: the parent computes these blocks as well
+                runs.append((0, lo, hi))
                 continue
-            if pid == 0:  # exit 1 at the first short write, 0 once every row is written
+            if pid == 0:  # exit 1 at the first short write, 0 once every block is written
                 try:
-                    os._exit(any(os.pwrite(fd, array("d", row_of(s)), row_bytes * s) != row_bytes
-                                 for s in range(lo, hi)))
-                finally:  # row_of or pwrite raised
+                    os._exit(any(os.pwrite(fd, array("d", block_sum(b)), row_bytes * b)
+                                 != row_bytes for b in range(lo, hi)))
+                finally:  # add_sources or pwrite raised
                     os._exit(1)
             live.add(pid)
-            blocks.append((pid, lo, hi))
+            runs.append((pid, lo, hi))
         row = array("d", bytes(row_bytes))
-        for pid, lo, hi in blocks:
+        for pid, lo, hi in runs:
             delivered = pid in live and os.waitpid(pid, 0)[1] == 0
             live.discard(pid)
-            for s in range(lo, hi):  # the parent's block, or one whose child failed
+            for b in range(lo, hi):  # the parent's blocks, or those of a failed child
                 if delivered:
-                    os.preadv(fd, [row], row_bytes * s)
-                acc = list(map(operator.add, acc, row if delivered else row_of(s)))
+                    os.preadv(fd, [row], row_bytes * b)
+                total = list(map(operator.add, total, row if delivered else block_sum(b)))
     finally:  # interrupted or failed: leave no child and no file behind
         for pid in live:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         if fd >= 0:
             os.close(fd)
-    return acc
+    return total
 
 
 def _brandes(order: list[int], nbrs: list[list[int]]) -> list[float]:
     """Accumulate shortest-path dependencies source by source (ascending id)."""
     n = len(order)
 
-    def dependencies(s: int) -> list[float]:
-        seen, sigma, preds = _shortest_path_dag(s, nbrs)
-        delta = [0.0] * n
-        for w in seen[:0:-1]:  # reverse BFS order, the source itself excluded
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-        delta[s] = 0.0  # a source is no intermediate of its own paths
-        return delta
+    def add_dependencies(lo: int, hi: int, acc: list[float]) -> None:
+        for s in range(lo, hi):
+            seen, sigma, preds = _shortest_path_dag(s, nbrs)
+            delta = [0.0] * n
+            for w in seen[:0:-1]:  # reverse BFS order, the source itself excluded
+                acc[w] += delta[w]  # final: the nodes farther from s came first
+                coeff = (1.0 + delta[w]) / sigma[w]
+                for v in preds[w]:
+                    delta[v] += sigma[v] * coeff
 
-    return _fold_sources(n, n, dependencies)
+    return _fold_sources(n, n, add_dependencies)
 
 
 def betweenness(net: FriendshipNetwork, mode: Mode = Mode.DIRECTED) -> CentralityScores:

@@ -194,7 +194,7 @@ def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     if args.edges is not None:
         nominations = iof.parse_edges(args.edges.read_bytes())
     else:
-        nominations = iof.parse_adjacency(args.adjacency.read_bytes())
+        nominations = iof.parse_adjacency(args.adjacency.read_bytes(), {s.id for s in roster})
     if args.dedupe:  # make_cohort logs each repeated nomination it drops
         _log()
     cohort = make_cohort(roster, nominations, args.label, dedupe=args.dedupe)

@@ -63,22 +63,20 @@ def _edge_betweenness_subset(
     for k, (i, j) in enumerate(edges):
         edge_id[i][j] = edge_id[j][i] = k
 
-    def contributions(s: int) -> list[float]:
-        # a BFS from s reaches each edge from one end at most, so it adds
-        # to each edge once; 0.0 where it adds nothing
-        seen, sigma, preds = _shortest_path_dag(s, nbrs)
-        delta = [0.0] * n
-        row = [0.0] * len(edges)
-        for w in seen[:0:-1]:  # reverse BFS order, the source itself excluded
-            coeff = (1.0 + delta[w]) / sigma[w]
-            ids = edge_id[w]
-            for v in preds[w]:
-                c = sigma[v] * coeff
-                row[ids[v]] = c
-                delta[v] += c
-        return row
+    def add_contributions(lo: int, hi: int, acc: list[float]) -> None:
+        # a BFS from s reaches each edge from one end at most, so it adds to each edge once
+        for s in range(lo, hi):
+            seen, sigma, preds = _shortest_path_dag(s, nbrs)
+            delta = [0.0] * n
+            for w in seen[:0:-1]:  # reverse BFS order, the source itself excluded
+                coeff = (1.0 + delta[w]) / sigma[w]
+                ids = edge_id[w]
+                for v in preds[w]:
+                    c = sigma[v] * coeff
+                    acc[ids[v]] += c
+                    delta[v] += c
 
-    eb = _fold_sources(n, len(edges), contributions)
+    eb = _fold_sources(n, len(edges), add_contributions)
     # every unordered pair was counted from both endpoints
     return {(members[i], members[j]): val / 2.0 for (i, j), val in zip(edges, eb)}
 
@@ -137,12 +135,13 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
             [edge] = top_k(eb, 1)
             leaders[edge] = eb[edge]
 
-    for members in comp_members.values():
-        refresh(members)
-
     steps: list[DivisionStep] = []
     count = len(comp_members)  # component ids are 0..count-1
-    while leaders and (stop_at_k is None or count < stop_at_k):
+    limit = len(view.nodes) if stop_at_k is None else stop_at_k  # n singletons: no edge left
+    if count < limit:
+        for members in comp_members.values():
+            refresh(members)
+    while leaders:
         [edge] = top_k(leaders, 1)
         del leaders[edge]
         u, v = edge
@@ -156,11 +155,14 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
         if len(parts) > 1:
             comp_members[cid], comp_members[count] = (sorted(p) for p in parts)
             comp_of.update(dict.fromkeys(comp_members[count], count))
-            refresh(comp_members[count])
             count += 1
             snapshot = scored([set(ms) for ms in comp_members.values()])
-        refresh(comp_members[cid])
         steps.append(DivisionStep(removed_edge=edge, component_count=count, partition=snapshot))
+        if count >= limit:  # no removal follows, so the parts' leaders are never read
+            break
+        if snapshot is not None:
+            refresh(comp_members[count - 1])
+        refresh(comp_members[cid])
     return DivisionTrace(initial=initial, steps=tuple(steps))
 
 

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from typing import TYPE_CHECKING, TypeVar
 
@@ -207,10 +207,16 @@ _BINARY = frozenset(("0", "1"))
 _Row = TypeVar("_Row")  # a body row: one line, or the csv reader's cells
 
 
-def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
-    """Parse a square 0/1 matrix; entry (r, c) = 1 yields the edge (r, c)."""
+def parse_adjacency(
+    data: bytes | str, roster: Collection[int] | None = None
+) -> list[tuple[int, int]]:
+    """Parse a square 0/1 matrix; entry (r, c) = 1 yields the edge (r, c).
+
+    With ``roster``, a header id outside it is refused on the header's line,
+    even one whose row and column hold no tie.
+    """
     text = _text(data)
-    ids, rows = _plain_matrix(text) or _csv_matrix(text)
+    ids, rows = _plain_matrix(text, roster) or _csv_matrix(text, roster)
     edges = []
     for row_id, bits in zip(ids, rows):
         col = bits.find("1")
@@ -221,7 +227,8 @@ def parse_adjacency(data: bytes | str) -> list[tuple[int, int]]:
 
 
 def _matrix_head(
-    header_line: int, header: list[str], rows: Iterable[tuple[int, _Row]]
+    header_line: int, header: list[str], rows: Iterable[tuple[int, _Row]],
+    roster: Collection[int] | None,
 ) -> tuple[list[int], list[tuple[int, _Row]]]:
     """The header's ids and the body rows: the header is checked before a row is read
     (reading one may be refused), and the number of rows once all are read."""
@@ -230,6 +237,10 @@ def _matrix_head(
     ids = [_parse_id(cell, header_line) for cell in header[1:]]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate id in adjacency header", line=header_line)
+    if roster is not None:
+        for i in ids:
+            if i not in roster:
+                raise DataError(f"adjacency header id {i} is not in the roster", line=header_line)
     body = list(rows)
     if len(body) != len(ids):
         raise DataError(
@@ -239,7 +250,7 @@ def _matrix_head(
     return ids, body
 
 
-def _plain_matrix(text: str) -> tuple[list[int], list[str]] | None:
+def _plain_matrix(text: str, roster: Collection[int] | None) -> tuple[list[int], list[str]] | None:
     """The ids and each row's cells as one string of 0s and 1s, read without building
     cells; None when the csv reader must read the text, or when a row fails the checks
     here, so that _csv_matrix names the fault.
@@ -258,7 +269,7 @@ def _plain_matrix(text: str) -> tuple[list[int], list[str]] | None:
         return None
     (header_line, first), *rest = records
     header = first.split(",")
-    ids, body = _matrix_head(header_line, header, rest)
+    ids, body = _matrix_head(header_line, header, rest, roster)
     n = len(ids)
     width, commas = 2 * n - 1, "," * (n - 1)
     rows = []
@@ -273,10 +284,10 @@ def _plain_matrix(text: str) -> tuple[list[int], list[str]] | None:
     return ids, rows
 
 
-def _csv_matrix(text: str) -> tuple[list[int], list[str]]:
+def _csv_matrix(text: str, roster: Collection[int] | None) -> tuple[list[int], list[str]]:
     """The ids and each row's cells as one string, from the csv reader's cells; a row is
     refused for its width, then its label, then its first bad cell in column order."""
-    ids, body = _matrix_head(*_table(text, "adjacency"))
+    ids, body = _matrix_head(*_table(text, "adjacency"), roster)
     rows = []
     for pos, (line, row) in enumerate(_fields(body, len(ids) + 1)):
         row_id = _parse_id(row[0], line)

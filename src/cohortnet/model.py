@@ -96,7 +96,8 @@ class Student(_StudentFields):
         marks = {} if marks is None else marks
         for semester, mark in marks.items():
             _check_mark(mark, f"student {id}, semester {semester!r}")
-        return super().__new__(cls, id, gender, marks)
+        # stored as floats, so a cohort file reads back as the bytes it was saved as
+        return super().__new__(cls, id, gender, {s: float(m) for s, m in marks.items()})
 
 
 class _NetworkFields(NamedTuple):

@@ -170,6 +170,14 @@ def random_undirected_edges(rng: random.Random, max_nodes=8, edge_prob=0.45):
 # Verbatim copies of the library's shortest-path and power-iteration loops as
 # they stood before those loops were optimized. The optimized code must match
 # them exactly (==, not approximately): same additions in the same order.
+# The betweenness loops take a ``block_size``: the library sums its sources in
+# fixed blocks, each from 0.0, and folds the block sums in order. None sums
+# every source in one block, as the loops did when they were frozen.
+
+
+def _block_ends(s, n, block_size):
+    """Whether source ``s`` of ``n`` is the last of its block."""
+    return s == n - 1 or block_size is not None and (s + 1) % block_size == 0
 
 
 def index_adjacency_ref(order, adjacency):
@@ -177,9 +185,10 @@ def index_adjacency_ref(order, adjacency):
     return [sorted(idx[w] for w in adjacency[v]) for v in order]
 
 
-def brandes_ref(order: list[int], nbrs: list[list[int]]) -> list[float]:
+def brandes_ref(order: list[int], nbrs: list[list[int]], block_size=None) -> list[float]:
     """Accumulate shortest-path dependencies source by source (ascending id)."""
     n = len(order)
+    total = [0.0] * n
     bc = [0.0] * n
     for s in range(n):
         sigma = [0] * n
@@ -209,10 +218,13 @@ def brandes_ref(order: list[int], nbrs: list[list[int]]) -> list[float]:
                 delta[v] += sigma[v] * coeff
             if w != s:
                 bc[w] += delta[w]
-    return bc
+        if _block_ends(s, n, block_size):
+            total = [t + b for t, b in zip(total, bc)]
+            bc = [0.0] * n
+    return total
 
 
-def edge_betweenness_subset_ref(members, adjacency):
+def edge_betweenness_subset_ref(members, adjacency, block_size=None):
     """Brandes-style edge accumulation restricted to ``members``.
 
     ``members`` must be closed under ``adjacency`` (e.g. a connected
@@ -226,6 +238,7 @@ def edge_betweenness_subset_ref(members, adjacency):
         for j in row:
             if i < j:
                 eb[(i, j)] = 0.0
+    total = dict(eb)
     for s in range(n):
         sigma = [0] * n
         dist = [-1] * n
@@ -254,8 +267,11 @@ def edge_betweenness_subset_ref(members, adjacency):
                 c = sigma[v] * coeff
                 eb[(v, w) if v < w else (w, v)] += c
                 delta[v] += c
+        if _block_ends(s, n, block_size):
+            total = {e: t + eb[e] for e, t in total.items()}
+            eb = dict.fromkeys(eb, 0.0)
     # every unordered pair was counted from both endpoints
-    return {(members[i], members[j]): val / 2.0 for (i, j), val in eb.items()}
+    return {(members[i], members[j]): val / 2.0 for (i, j), val in total.items()}
 
 
 def power_iteration_ref(nbrs, tol=1e-10, cap=1000):
@@ -369,7 +385,7 @@ def components_ref(nodes, adjacency):
     return comps
 
 
-def girvan_newman_ref(view, *, stop_at_k=None):
+def girvan_newman_ref(view, *, stop_at_k=None, block_size=None):
     """The division loop with its own per-component BFS and full eb cache."""
     if not view.edges:
         return DivisionTrace(initial=None, steps=())
@@ -395,7 +411,7 @@ def girvan_newman_ref(view, *, stop_at_k=None):
         if not any(adjacency[v] for v in members):
             eb_cache.pop(cid, None)
             return
-        eb = edge_betweenness_subset_ref(members, adjacency)
+        eb = edge_betweenness_subset_ref(members, adjacency, block_size)
         best_edge = min(eb, key=lambda e: (-eb[e], e))
         eb_cache[cid] = (eb, eb[best_edge], best_edge)
 

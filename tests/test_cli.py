@@ -16,6 +16,8 @@ from cohortnet.io_formats import save_cohort
 
 ROSTER = "id,gender,mark_s5\n1,M,80\n2,F,55\n3,F,70\n"
 EDGES = "source,target\n1,2\n2,3\n"
+# a refused nomination names no line yet
+NO_TIE_LOCATOR = pytest.mark.xfail(strict=True, reason="ROADMAP item 3: no line locator yet")
 
 
 def write_cohort(path, students, edges, label="t"):
@@ -195,15 +197,17 @@ class TestInputHardening:
         assert f"data error: line {line}: " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: no line locator yet")
     @pytest.mark.parametrize("source, text, line, message", [
-        ("edges", "source,target\n1,2\n1,2\n", 3,
-         "nomination (1, 2) appears more than once"),
-        ("edges", "source,target\n1,9\n", 2, "edge target 9 is not in the roster"),
-        ("adjacency", ",1,9\n1,0,1\n9,0,0\n", 1, "9 is not in the roster"),
-        ("adjacency", ",1,2,9\n1,0,1,0\n2,0,0,0\n9,0,0,0\n", 1, "9 is not in the roster"),
-    ], ids=["edges-repeated", "edges-target-not-in-roster",
-            "adjacency-header-id-not-in-roster", "adjacency-header-id-without-ties"])
+        pytest.param("edges", "source,target\n1,2\n1,2\n", 3,
+                     "nomination (1, 2) appears more than once", id="edges-repeated",
+                     marks=NO_TIE_LOCATOR),
+        pytest.param("edges", "source,target\n1,9\n", 2, "edge target 9 is not in the roster",
+                     id="edges-target-not-in-roster", marks=NO_TIE_LOCATOR),
+        pytest.param("adjacency", ",1,9\n1,0,1\n9,0,0\n", 1, "9 is not in the roster",
+                     id="adjacency-header-id-not-in-roster"),
+        pytest.param("adjacency", ",1,2,9\n1,0,1,0\n2,0,0,0\n9,0,0,0\n", 1,
+                     "9 is not in the roster", id="adjacency-header-id-without-ties"),
+    ])
     def test_refused_tie_names_line(self, tmp_path, capsys, source, text, line, message):
         (tmp_path / "roster.csv").write_text(ROSTER)
         (tmp_path / "ties.csv").write_text(text)

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from cohortnet import (
     Partition,
+    community,
     SymmetrizeRule,
     best_partition,
     edge_betweenness,
@@ -15,7 +16,7 @@ from cohortnet import (
 from cohortnet.errors import AnalysisError, DataError
 
 from conftest import mkview, symmetric_cases, symmetric_network
-from oracles import edge_betweenness_brute, modularity_brute
+from oracles import edge_betweenness_brute, girvan_newman_ref, modularity_brute
 from strategies import undirected_views
 
 
@@ -161,6 +162,19 @@ class TestGirvanNewman:
         stopped = girvan_newman(barbell_view, stop_at_k=2)
         assert stopped.steps == full.steps[: len(stopped.steps)]
         assert stopped.steps[-1].component_count == 2
+
+    def test_stop_at_k_skips_the_last_refresh(self, monkeypatch, barbell_view):
+        # the bridge's removal reaches k=2, so neither triangle's leader is needed
+        kernel, calls = community._edge_betweenness_subset, []
+
+        def counted(members, adjacency):
+            calls.append(members)
+            return kernel(members, adjacency)
+
+        monkeypatch.setattr(community, "_edge_betweenness_subset", counted)
+        trace = girvan_newman(barbell_view, stop_at_k=2)
+        assert calls == [[0, 1, 2, 3, 4, 5]]
+        assert trace == girvan_newman_ref(barbell_view, stop_at_k=2)
 
 
 class TestBestPartition:

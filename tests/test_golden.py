@@ -18,7 +18,7 @@ GOLDEN = {
     "ingested.json": "b364751cc058d2b872abc57fab3da457c4b6095b144b8e8cbf58d6923930da33",
     "modularity_curve.csv": "ab2d6da9b452110432e57523ecfdc828834ece784f7f9efb17827c0bb3c6e3dc",
     "partition.csv": "da1a79d7c3a26bd9aa3f8177537d935ef223d55187e4946bd2ba0f5f30d21033",
-    "centrality_betweenness.csv": "6e8b37a1b4c998511674c0ecfbc99767d9e7ad6a8624100ec6127d15a2dad539",
+    "centrality_betweenness.csv": "e953e6a33e63505a53e35207ede1a9ed85ada5fb64eaf377ff6f59763721cc04",
     "representatives.csv": "aeb31d8e6a8d68f6b9a63a2b384e7a8fbab089934a91b0ed767567909f73c3b1",
     "clusters.csv": "15ffdf4624933a624a07a9f570dd65c772646c4e3baac4595d1fc319c431aaa6",
     "plan.csv": "23465081a16530cdc5883dc26ed774e5684c300fcd747e7bab3e1978102f4188",

@@ -266,6 +266,17 @@ class TestAdjacency:
             parse_adjacency(",1,2\n1,0,2\n2,0,0\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, line", [
+        (",1,2,9\n1,0,1,0\n2,0,0,0\n9,0,0,0\n", 1),
+        ('\n"",1,2,9\n1,0,1,0\n2,0,0,0\n9,0,0,0\n', 2),  # read by the csv reader
+    ], ids=["plain", "quoted-after-blank-line"])
+    def test_header_id_outside_the_roster(self, text, line):
+        assert parse_adjacency(text) == [(1, 2)]
+        assert parse_adjacency(text, {1, 2, 9, 10}) == [(1, 2)]
+        with pytest.raises(DataError, match="adjacency header id 9 is not in the roster") as err:
+            parse_adjacency(text, {1, 2, 3})
+        assert err.value.line == line
+
     @settings(max_examples=500)
     # "" and "00" together have the length and the zeros of two valid cells
     @example(",12,13,14,15\n12,0,1,0,0\n13,0,0,0,0\n14,0,0,00,\n15,0,0,0,0\n")
@@ -486,6 +497,13 @@ class TestRoundTrips:
             again = load_cohort(save_cohort(cohort))
             assert again == cohort
             assert save_cohort(again) == save_cohort(cohort)
+
+    def test_integer_marks_are_saved_as_floats(self):
+        cohort = make_cohort([Student(id=1, marks={"s5": 80, "s6": 0})], [], "t")
+        assert cohort.students[0].marks == {"s5": 80.0, "s6": 0.0}
+        saved = save_cohort(cohort)
+        assert b'"s5": 80.0' in saved and b'"s6": 0.0' in saved
+        assert save_cohort(load_cohort(saved)) == saved
 
     @settings(max_examples=300)
     @example(make_cohort([], [], ""))

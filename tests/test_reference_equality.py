@@ -3,9 +3,12 @@
 The references in ``oracles`` are the loops as they stood before they were
 optimized or rewritten. Every comparison is exact: a change that reorders a
 floating-point addition fails here, even when the change is in the last bit.
+The betweenness references sum their sources in blocks of the kernels'
+``centrality.FORK_MIN_BLOCK``, read when they are called, as the kernels do.
 """
 
 import errno
+import operator
 import os
 import signal
 import threading
@@ -49,11 +52,12 @@ from strategies import directed_networks, undirected_views
 
 def _betweenness_ref(net, mode):
     order = sorted(net.nodes)
+    block = centrality.FORK_MIN_BLOCK
     if mode is Mode.DIRECTED:
-        raw = brandes_ref(order, index_adjacency_ref(order, net.out_adjacency))
+        raw = brandes_ref(order, index_adjacency_ref(order, net.out_adjacency), block)
     else:
         union = symmetrize(net, SymmetrizeRule.UNION).adjacency
-        raw = [x / 2.0 for x in brandes_ref(order, index_adjacency_ref(order, union))]
+        raw = [x / 2.0 for x in brandes_ref(order, index_adjacency_ref(order, union), block)]
     return dict(zip(order, raw))
 
 
@@ -71,8 +75,10 @@ def _edge_betweenness_refs(view):
     """The whole view's reference, then one per component on mutable adjacency
     sets, as the division loop calls the kernel."""
     adjacency = {v: set(view.adjacency[v]) for v in view.nodes}
-    return (edge_betweenness_subset_ref(sorted(view.nodes), view.adjacency),
-            [edge_betweenness_subset_ref(sorted(comp), adjacency) for comp in view.components()])
+    block = centrality.FORK_MIN_BLOCK
+    return (edge_betweenness_subset_ref(sorted(view.nodes), view.adjacency, block),
+            [edge_betweenness_subset_ref(sorted(comp), adjacency, block)
+             for comp in view.components()])
 
 
 def _assert_edge_betweenness_exact(view, refs=None):
@@ -198,7 +204,8 @@ def _selection(view, trace, k_max, select):
 
 def _assert_division_exact(view, stop_at_k=None):
     trace = girvan_newman(view, stop_at_k=stop_at_k)
-    assert trace == girvan_newman_ref(view, stop_at_k=stop_at_k)
+    assert trace == girvan_newman_ref(view, stop_at_k=stop_at_k,
+                                      block_size=centrality.FORK_MIN_BLOCK)
     for k_max in range(1, min(len(view.nodes), 16) + 2):
         expected = _selection(view, trace, k_max, best_partition_ref)
         assert _selection(view, trace, k_max, best_partition) == expected
@@ -310,17 +317,36 @@ def test_forked_division_loop_matches_reference(cpus, view):
     assert_no_child_left()
 
 
+def _add_rows(row_of):
+    """An ``add_sources`` for ``_fold_sources`` that adds row_of(s) for each of its sources."""
+    def add_sources(lo, hi, acc):
+        for s in range(lo, hi):
+            acc[:] = map(operator.add, acc, row_of(s))
+    return add_sources
+
+
+def _block_sums_ref(n_sources, width, row_of, block):
+    total = [0.0] * width
+    for lo in range(0, n_sources, block):
+        acc = [0.0] * width
+        for s in range(lo, min(n_sources, lo + block)):
+            acc = [a + r for a, r in zip(acc, row_of(s))]
+        total = [t + a for t, a in zip(total, acc)]
+    return total
+
+
 def test_fold_keeps_source_order():
     # rows whose sums depend on the order of addition, on every block boundary
     def row_of(s):
         return [0.1 * (s + 1) ** k for k in range(-3, 4)]
 
-    expected = [0.0] * 7
-    for s in range(100):
-        expected = [a + b for a, b in zip(expected, row_of(s))]
-    for cpus in (1, 2, 3, 7):
-        with forking(cpus):
-            assert centrality._fold_sources(100, 7, row_of) == expected
+    sums = {block: _block_sums_ref(300, 7, row_of, block) for block in (1, 7, 64)}
+    assert sums[1] != sums[64]  # the block size shows in the last bits
+    for block, expected in sums.items():
+        for cpus in (1, 2, 3, 7):
+            with forking(cpus, min_block=block) as forks:
+                assert centrality._fold_sources(300, 7, _add_rows(row_of)) == expected
+            assert len(forks) == min(cpus, 300 // block) - 1
     assert_no_child_left()
 
 
@@ -334,27 +360,10 @@ def _refuse_fork():
 def test_blocks_hold_at_least_min_block_sources(cpus, n_sources, n_forks):
     fork = _refuse_fork if n_forks == 0 else None
     with forking(cpus, fork=fork, min_block=centrality.FORK_MIN_BLOCK) as forks:
-        assert centrality._fold_sources(n_sources, 3, lambda s: [1.0, s, 2.0 * s]) == [
+        assert centrality._fold_sources(n_sources, 3, _add_rows(lambda s: [1.0, s, 2.0 * s])) == [
             float(n_sources), float(sum(range(n_sources))), 2.0 * sum(range(n_sources))
         ]
     assert len(forks) == n_forks
-    assert_no_child_left()
-
-
-def test_rows_over_the_byte_budget_stay_on_one_cpu(monkeypatch):
-    def row_of(s):
-        return [0.1 * s, 1.0]
-
-    expected = centrality._fold_sources(300, 2, row_of)
-    # 300 rows of 2 doubles are 4800 bytes
-    monkeypatch.setattr(centrality, "FORK_MAX_ROW_BYTES", 4799)
-    with forking(2, fork=_refuse_fork) as forks:
-        assert centrality._fold_sources(300, 2, row_of) == expected
-    assert forks == []
-    monkeypatch.setattr(centrality, "FORK_MAX_ROW_BYTES", 4800)
-    with forking(2) as forks:
-        assert centrality._fold_sources(300, 2, row_of) == expected
-    assert len(forks) == 1
     assert_no_child_left()
 
 
@@ -365,6 +374,17 @@ def test_planted_n400_on_one_cpu_matches_reference(planted400):
         _assert_betweenness_exact(net, node_refs)
         _assert_edge_betweenness_exact(view, edge_refs)
         _assert_division_exact(view, stop_at_k=3)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+def test_planted_n400_matches_reference_on_any_cpu_count(planted400, cpus):
+    # the same blocks however many workers share them, so the sums of one CPU
+    net, view, node_refs, edge_refs = planted400
+    with forking(cpus, min_block=centrality.FORK_MIN_BLOCK) as forks:
+        _assert_betweenness_exact(net, node_refs)
+        _assert_edge_betweenness_exact(view, edge_refs)
+    assert len(forks) == 4 * (cpus - 1)  # two node passes, the view and its one component
+    assert_no_child_left()
 
 
 # -- failing children and other threads ------------------------------------------
@@ -409,11 +429,11 @@ def _kill_self(real_pwrite, fd, data, offset, earlier):
     "misbehave", [_exit_at_first_row, _exit_mid_block, _write_half_rows, _kill_self]
 )
 def test_failed_children_change_nothing(monkeypatch, cpus, misbehave):
-    expected_edges = edge_betweenness_subset_ref(sorted(PLANTED.nodes), PLANTED.adjacency)
     net = mknet(sorted(PLANTED.edges), PLANTED.nodes)
-    expected_nodes = _betweenness_ref(net, Mode.DIRECTED)
-    monkeypatch.setattr(os, "pwrite", _in_child_pwrite(misbehave))
-    with forking(cpus) as forks:
+    with forking(cpus) as forks:  # blocks of one source, as in a serial loop
+        expected_edges = edge_betweenness_subset_ref(sorted(PLANTED.nodes), PLANTED.adjacency)
+        expected_nodes = _betweenness_ref(net, Mode.DIRECTED)
+        monkeypatch.setattr(os, "pwrite", _in_child_pwrite(misbehave))
         assert edge_betweenness(PLANTED) == expected_edges
         assert betweenness(net, Mode.DIRECTED).scores == expected_nodes
     assert len(forks) == 2 * (cpus - 1)
@@ -434,11 +454,11 @@ def test_no_file_descriptor_left(monkeypatch):
 
     before = len(os.listdir("/proc/self/fd"))
     with forking(2) as forks:
-        assert centrality._fold_sources(300, 2, row_of) == [300.0, 44850.0]
+        assert centrality._fold_sources(300, 2, _add_rows(row_of)) == [300.0, 44850.0]
         monkeypatch.setattr(os, "pwrite", _in_child_pwrite(_exit_at_first_row))
-        assert centrality._fold_sources(300, 2, row_of) == [300.0, 44850.0]
+        assert centrality._fold_sources(300, 2, _add_rows(row_of)) == [300.0, 44850.0]
         with pytest.raises(KeyboardInterrupt):
-            centrality._fold_sources(300, 2, interrupted)
+            centrality._fold_sources(300, 2, _add_rows(interrupted))
     assert len(forks) == 3
     assert len(os.listdir("/proc/self/fd")) == before
     assert_no_child_left()
@@ -480,7 +500,7 @@ def test_parent_failure_kills_and_reaps_children():
         return [1.0] * 4
 
     with forking(3) as forks, pytest.raises(KeyboardInterrupt):
-        centrality._fold_sources(300, 4, row_of)
+        centrality._fold_sources(300, 4, _add_rows(row_of))
     assert len(forks) == 2
     assert_no_child_left()
 
