@@ -32,7 +32,6 @@ from .model import (
     Measure,
     Mode,
     SymmetrizeRule,
-    UndirectedView,
     symmetrize,
 )
 
@@ -254,20 +253,17 @@ def closeness(net: FriendshipNetwork) -> CentralityScores:
     return CentralityScores(measure=Measure.CLOSENESS, mode=Mode.UNDIRECTED, scores=scores)
 
 
-def eigenvector(net: FriendshipNetwork | UndirectedView) -> CentralityScores:
+def eigenvector(net: FriendshipNetwork) -> CentralityScores:
     """Dominant-eigenvector scores on the union view, max component scaled to 1.
 
     Power iteration runs on A + I so the dominant eigenvalue is strictly
     separated even on bipartite graphs. A directed network with at least one
     non-reciprocal tie gets a recorded warning rather than a refusal.
     """
+    view = symmetrize(net, SymmetrizeRule.UNION)
     warnings: tuple[str, ...] = ()
-    if isinstance(net, FriendshipNetwork):
-        view = symmetrize(net, SymmetrizeRule.UNION)
-        if any((t, s) not in net.edges for s, t in net.edges):
-            warnings = (DIRECTED_INPUT_WARNING,)
-    else:
-        view = net
+    if any((t, s) not in net.edges for s, t in net.edges):
+        warnings = (DIRECTED_INPUT_WARNING,)
     if not view.edges:
         raise AnalysisError("eigenvector centrality needs at least one edge")
 

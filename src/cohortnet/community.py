@@ -20,8 +20,6 @@ from .centrality import _fold_sources, _index_adjacency, _shortest_path_dag, top
 from .errors import AnalysisError, DataError
 from .model import Partition, UndirectedView, _components, partition_from_blocks
 
-DEFAULT_K_MAX = 15
-
 
 class DivisionStep(NamedTuple):
     removed_edge: tuple[int, int]
@@ -167,7 +165,7 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
 
 
 def best_partition(
-    view: UndirectedView, trace: DivisionTrace, k_max: int = DEFAULT_K_MAX
+    view: UndirectedView, trace: DivisionTrace, k_max: int
 ) -> tuple[Partition, ModularityCurve]:
     """Highest-Q snapshot with k <= k_max; ties go to the smallest k."""
     all_snaps = trace.snapshots()

@@ -10,7 +10,6 @@ from .io_formats import _lines, _text
 from .model import (
     SymmetrizeRule,
     _check_bin_width,
-    _check_group_bounds,
     _check_thresholds,
     _checked_make,
 )
@@ -40,7 +39,10 @@ class RunConfig(_RunConfigFields):
         if self.k_max < 2:
             raise UsageError(f"k_max must be >= 2, got {self.k_max}")
         _check_bin_width(self.bin_width)
-        _check_group_bounds(self.min_group, self.max_group)
+        if not 1 <= self.min_group <= self.max_group:
+            raise UsageError(
+                f"need 1 <= min_group <= max_group, got {self.min_group}..{self.max_group}"
+            )
         return self
 
 

@@ -20,14 +20,12 @@ from collections.abc import Mapping
 from enum import Enum
 from typing import NamedTuple
 
+from .config import RunConfig
 from .errors import AnalysisError, DataError
 from .model import (
     FriendshipNetwork,
     Partition,
     SymmetrizeRule,
-    _check_group_bounds,
-    _check_thresholds,
-    _checked_make,
     symmetrize,
 )
 from .stats import PerfClass, cluster_performance
@@ -38,23 +36,9 @@ class Role(str, Enum):
     DISPERSED = "dispersed"
 
 
-class _PolicyFields(NamedTuple):
-    high_t: float = 70.0
-    low_t: float = 60.0
-    min_group: int = 1
-    max_group: int = 18
-    keep_low_subgroups: bool = True
-
-
-class InterventionPolicy(_PolicyFields):
-    __slots__ = ()
-    _make = _checked_make
-
-    def __new__(cls, *args: object, **kwargs: object) -> InterventionPolicy:
-        self = super().__new__(cls, *args, **kwargs)
-        _check_thresholds(self.high_t, self.low_t)
-        _check_group_bounds(self.min_group, self.max_group)
-        return self
+# plan_intervention reads five of the run settings; this name stays for callers
+# that build a policy, such as the benchmark's replay in perfbench/traced.py.
+InterventionPolicy = RunConfig
 
 
 class PlanGroup(NamedTuple):
@@ -83,7 +67,7 @@ def plan_intervention(
     net: FriendshipNetwork,
     p: Partition,
     marks: Mapping[int, float],
-    policy: InterventionPolicy,
+    policy: RunConfig,
 ) -> AssignmentPlan:
     """Build the assignment plan for one partition and one mark set."""
     perfs = cluster_performance(p, marks, policy.high_t, policy.low_t)

@@ -53,15 +53,10 @@ def _check_mark(value: float, context: str) -> None:
         raise DataError(f"{context}: mark {value!r} outside [0, 100]")
 
 
-# The run settings' rules, shared by RunConfig, InterventionPolicy and stats.
+# The run settings' rules that stats shares with RunConfig.
 def _check_thresholds(high_t: float, low_t: float) -> None:
     if not low_t < high_t:
         raise UsageError(f"need low_t < high_t, got {low_t} >= {high_t}")
-
-
-def _check_group_bounds(min_group: int, max_group: int) -> None:
-    if not 1 <= min_group <= max_group:
-        raise UsageError(f"need 1 <= min_group <= max_group, got {min_group}..{max_group}")
 
 
 def _check_bin_width(bin_width: float) -> None:
@@ -199,11 +194,11 @@ class Partition(_PartitionFields):
         return out
 
 
-def partition_from_blocks(blocks: list[set[int]], q: float | None = None) -> Partition:
+def partition_from_blocks(blocks: list[set[int]]) -> Partition:
     """Number blocks by ascending smallest member so ids are reproducible."""
     ordered = sorted(blocks, key=min)
     assignment = {node: cid for cid, block in enumerate(ordered) for node in block}
-    return Partition(assignment=assignment, k=len(ordered), q=q)
+    return Partition(assignment=assignment, k=len(ordered))
 
 
 def build_network(

@@ -17,7 +17,7 @@ from cohortnet import (
 )
 from cohortnet.errors import AnalysisError
 
-from conftest import mknet, mkview, symmetric_cases, symmetric_network
+from conftest import mknet, symmetric_cases, symmetric_network
 from oracles import node_betweenness_brute
 from strategies import directed_networks
 
@@ -109,7 +109,7 @@ class TestEigenvector:
 
     def test_path_scores(self):
         # dominant eigenvector of the 3-path is (1, sqrt(2), 1)
-        scores = eigenvector(mkview([(1, 2), (2, 3)])).scores
+        scores = eigenvector(mknet([(1, 2), (2, 3)])).scores
         assert scores[2] == pytest.approx(1.0)
         assert scores[1] == pytest.approx(0.7071067811865475, abs=1e-8)
         assert scores[3] == pytest.approx(0.7071067811865475, abs=1e-8)

@@ -123,6 +123,79 @@ def _line_count(data):
     return ends + (not data.endswith((b"\n", b"\r")))
 
 
+def _mutated(base, pieces):
+    """`base` after up to four edits, each deleting 0-3 bytes at a point and inserting a piece.
+
+    Half the points follow a separator of `base`, where a whole piece keeps the syntax.
+    """
+    def apply(edits):
+        data = base
+        for at, cut, piece in edits:
+            at = min(at, len(data))
+            data = data[:at] + piece + data[at + cut:]
+        return data
+
+    seams = [i + 1 for i, byte in enumerate(base) if byte in b"[{,:\n"]
+    at = st.one_of(st.integers(0, len(base)), st.sampled_from(seams))
+    return st.lists(st.tuples(at, st.integers(0, 3), st.sampled_from(pieces)),
+                    max_size=4).map(apply)
+
+
+# Cluster 0 is High, 1 Low and 2 Average, so the unmutated files plan with exit 0.
+_MARKS = {1: 80.0, 2: 90.0, 3: 50.0, 4: 55.0, 5: 65.0, 6: 66.0}
+_COHORT = save_cohort(make_cohort(
+    [Student(id=i, gender=Gender.FEMALE, marks={"s5": m}) for i, m in _MARKS.items()],
+    [(1, 2), (2, 1), (3, 4), (4, 3), (5, 6), (2, 3), (4, 5)], "t"))
+_PARTITION = b"node,cluster\n1,0\n2,0\n3,1\n4,1\n5,2\n6,2\n"
+_JSON_PIECES = [
+    b'"', b",", b"[", b"]", b"{", b"}", b":", b"0", b"1", b"7", b"-1", b"1.5", b"101", b"1e400",
+    b"true", b"null", b'"s5"', b'"M"', b'"X"', b'"id"', b'"marks"', b'"edges"', b'"students"',
+    b'"label"', b'"\\ud800"', b'"\\u0001"', b"", b" ", b"\n", b"\r", b"\r\n", b"\x00",
+    "\u2028".encode(), b"\xff", b"\xc3",
+]
+# values a cohort file can hold in that place, half the time, or any JSON value
+_JSON_VALUES = st.sampled_from([7, 50.0, 99.5, "M", "U", "s6"]) | st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 8)
+    | st.sampled_from([1.5, 1e300, 10**400, float("nan"), float("inf")])
+    | st.sampled_from(["M", "F", "X", "s5", "", "\ud800", "a\x01b"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "gender", "marks", "s5"]), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _cohort_edits(draw):
+    """The cohort as JSON with one to three values replaced or keys deleted, at drawn paths."""
+    doc = json.loads(_COHORT)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+            parent = node
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = draw(st.sampled_from(keys))
+            node = node[key]
+        value = draw(_JSON_VALUES)
+        if parent is None:
+            doc = value
+        elif isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
+            del parent[key]
+        else:
+            parent[key] = value
+    return json.dumps(doc).encode()
+
+
+def _assert_exits_cleanly(argv, out, data):
+    """`main` exits 0-3, makes `out` only on exit 0, and names only lines that `data` has."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out-dir", str(out)])
+    assert code in (0, 1, 2, 3)
+    assert out.exists() == (code == 0)
+    locators = re.findall(r"line (\d+):", err.getvalue())
+    assert all(1 <= int(n) <= _line_count(data) for n in locators)
+
+
 class TestInputHardening:
     def test_non_utf8_roster_exit_2_with_offset(self, tmp_path, capsys):
         (tmp_path / "r.csv").write_bytes(b"id,gender,mark_s5\n1,M,\xff50\n")
@@ -232,6 +305,31 @@ class TestInputHardening:
                          "--out", str(out / "c.json")])
             assert code in (0, 1, 2, 3)
             assert out.exists() == (code == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(partition=_mutated(_PARTITION, [*_CSV_PIECES, b"node,cluster\n", b"4,1\n"]))
+    def test_partition_of_any_bytes_exits_cleanly(self, partition):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "c.json").write_bytes(_COHORT)
+            (d / "p.csv").write_bytes(partition)
+            for command, *flags in (["classify"], ["plan"], ["export", "--semester", "s5"]):
+                _assert_exits_cleanly([command, str(d / "c.json"), "--partition",
+                                       str(d / "p.csv"), *flags], d / command, partition)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cohort=st.one_of(_mutated(_COHORT, _JSON_PIECES), _cohort_edits()),
+           measure=st.sampled_from(["--communities", "degree", "betweenness", "closeness",
+                                    "eigenvector"]),
+           fmt=st.sampled_from(["dot", "graphml"]))
+    def test_cohort_of_any_bytes_exits_cleanly(self, cohort, measure, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "c.json").write_bytes(cohort)
+            analyze = [measure] if measure == "--communities" else ["--measure", measure]
+            commands = (["report"], ["export", "--format", fmt], ["analyze", *analyze])
+            for command, *flags in commands:
+                _assert_exits_cleanly([command, str(d / "c.json"), *flags], d / command, cohort)
 
     @settings(max_examples=200, deadline=None)
     @given(config=st.lists(st.sampled_from(_CONFIG_PIECES), max_size=20).map(b"".join))

@@ -1,5 +1,7 @@
 """Import cost: the CLI loads only what a command runs, and the lazy package namespace."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -171,6 +173,25 @@ def test_kmax_sweep_script_runs(tmp_path):
     assert lines[0] == "planted communities: 12"
     assert "  k_max= 15  ->  k= 11, Q=0.8316" in lines
     assert "rule=intersection (163 undirected edges)" in lines
+
+
+def test_benchmark_replay_names_resolve():
+    # perfbench/traced.py replays the CLI through the library; a name it reads
+    # that was renamed or deleted would otherwise fail only a benchmark run
+    tree = ast.parse((SRC.parent / "perfbench" / "traced.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cohortnet")]
+    modules = {alias.asname or alias.name: f"cohortnet.{alias.name}"
+               for node in imports if node.module == "cohortnet" for alias in node.names}
+    names = [(node.module, alias.name)
+             for node in imports if node.module != "cohortnet" for alias in node.names]
+    names += sorted({(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in modules})
+    assert ("cohortnet.intervention", "InterventionPolicy") in names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_submodule_import_through_package():
