@@ -230,12 +230,6 @@ def closeness(net: FriendshipNetwork) -> CentralityScores:
     separately.
     """
     view = symmetrize(net, SymmetrizeRule.UNION)
-    comps = view.components()
-    if len(comps) > 1:
-        raise AnalysisError(
-            f"network has {len(comps)} components; closeness requires a "
-            "connected network"
-        )
     order = sorted(net.nodes)
     n = len(order)
     rows = _row_getters(_index_adjacency(order, view.adjacency))
@@ -249,6 +243,12 @@ def closeness(net: FriendshipNetwork) -> CentralityScores:
             break
         totals = [t + d * (g ^ r).bit_count() for t, g, r in zip(totals, grown, reach)]
         reach = grown
+    components = len(set(reach))  # each node's final reach is its component
+    if components > 1:
+        raise AnalysisError(
+            f"network has {components} components; closeness requires a "
+            "connected network"
+        )
     scores = {v: (n - 1) / total if total else 0.0 for v, total in zip(order, totals)}
     return CentralityScores(measure=Measure.CLOSENESS, mode=Mode.UNDIRECTED, scores=scores)
 

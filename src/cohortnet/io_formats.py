@@ -5,7 +5,7 @@ handles. Output is UTF-8 with LF line endings and deterministically
 ordered, so identical inputs always produce byte-identical files. Input
 tolerates CRLF. Every refusal from a CSV parser carries a 1-based line
 locator (`DataError.line`); `load_cohort` sets one only for a byte that is
-not UTF-8.
+not UTF-8 and for a JSON syntax error.
 """
 
 from __future__ import annotations
@@ -160,13 +160,13 @@ def parse_roster(data: bytes | str) -> list[Student]:
             if cell == "":
                 continue
             try:
-                mark = float(cell)
+                marks[semester] = float(cell)
             except ValueError:
                 raise DataError(f"mark {cell!r} is not a number", line=line) from None
-            if not 0.0 <= mark <= 100.0:
-                raise DataError(f"mark {mark!r} outside [0, 100]", line=line)
-            marks[semester] = mark
-        students.append(Student(id=sid, gender=gender, marks=marks))
+        try:  # Student applies the mark rule
+            students.append(Student(id=sid, gender=gender, marks=marks))
+        except DataError as exc:
+            raise DataError(str(exc), line=line) from None
     return students
 
 
@@ -368,21 +368,15 @@ def _json_id(value: object) -> int:
     return int(value)  # type: ignore[call-overload]
 
 
-def _json_marks(value: object) -> dict[str, float]:
-    """Marks from a cohort file: an object of numbers, so none is rewritten on save."""
-    if not isinstance(value, dict):
-        raise DataError(f"cohort file: marks {value!r} is not an object")
-    for mark in value.values():
-        if isinstance(mark, bool) or not isinstance(mark, (int, float)):
-            raise DataError(f"cohort file: mark {mark!r} is not a number")
-    return {k: float(v) for k, v in value.items()}
-
-
 def load_cohort(data: bytes | str) -> Cohort:
+    text = _text(data)
     try:
-        doc = json.loads(_text(data))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"cohort file is not valid JSON: {exc}") from None
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:  # its own "line N" counts only LF
+        # an error at the end of a text that ends a line is on that text's last line
+        at_end = exc.pos == len(text) and text.endswith(("\n", "\r"))
+        raise DataError(f"cohort file is not valid JSON: {exc.msg}",
+                        line=len(_lines(text[:exc.pos])) - at_end) from None
     except ValueError:  # an integer with more digits than sys.get_int_max_str_digits()
         raise DataError(f"cohort file: an integer is over the limit of "
                         f"{sys.get_int_max_str_digits()} digits") from None
@@ -392,13 +386,14 @@ def load_cohort(data: bytes | str) -> Cohort:
         label = doc["label"]
         if not isinstance(label, str):
             raise DataError(f"cohort file: label {label!r} is not a string")
-        students = [
-            Student(id=_json_id(s["id"]), gender=Gender(s["gender"]),
-                    marks=_json_marks(s.get("marks", {})))
-            for s in doc["students"]
-        ]
+        students = []
+        for s in doc["students"]:
+            sid, gender, marks = _json_id(s["id"]), Gender(s["gender"]), s.get("marks", {})
+            if marks is None:  # Student reads None as no marks; save_cohort writes {}
+                raise DataError(f"student {sid}: marks None is not an object")
+            students.append(Student(id=sid, gender=gender, marks=marks))
         edges = [(_json_id(s), _json_id(t)) for s, t in doc["edges"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a 400-digit mark
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"cohort file has an unexpected shape: {exc}") from None
     return make_cohort(students, edges, label)
 

@@ -46,11 +46,17 @@ class Mode(str, Enum):
     UNDIRECTED = "undirected"
 
 
-def _check_mark(value: float, context: str) -> None:
-    if isinstance(value, bool):  # saved as JSON true, which load_cohort refuses
+def _check_mark(value: object, context: str) -> float:
+    """The mark rule: an int or float, not a bool, in [0, 100]; returned as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):  # a bool saves as true
         raise DataError(f"{context}: mark {value!r} is not a number")
-    if not 0.0 <= value <= 100.0:
+    try:
+        mark = float(value)
+    except OverflowError:  # an int past 1.8e308, which repr may not even spell
+        raise DataError(f"{context}: mark too large for a float") from None
+    if not 0.0 <= mark <= 100.0:
         raise DataError(f"{context}: mark {value!r} outside [0, 100]")
+    return mark
 
 
 # The run settings' rules that stats shares with RunConfig.
@@ -84,15 +90,16 @@ class Student(_StudentFields):
 
     def __new__(cls, id: int, gender: Gender = Gender.UNSPECIFIED,
                 marks: dict[str, float] | None = None) -> Student:
-        if isinstance(id, bool):
+        if isinstance(id, bool) or not isinstance(id, int):
             raise DataError(f"student id {id!r} is not an integer")
         if id < 0:
             raise DataError(f"student id {id} must be non-negative")
         marks = {} if marks is None else marks
-        for semester, mark in marks.items():
-            _check_mark(mark, f"student {id}, semester {semester!r}")
+        if not isinstance(marks, dict):
+            raise DataError(f"student {id}: marks {marks!r} is not an object")
         # stored as floats, so a cohort file reads back as the bytes it was saved as
-        return super().__new__(cls, id, gender, {s: float(m) for s, m in marks.items()})
+        return super().__new__(cls, id, gender, {
+            s: _check_mark(m, f"student {id}, semester {s!r}") for s, m in marks.items()})
 
 
 class _NetworkFields(NamedTuple):
@@ -220,9 +227,6 @@ def build_network(
         seen: set[int] = set()
         dup = next(i for i in ids if i in seen or seen.add(i))  # type: ignore[func-returns-value]
         raise DataError(f"student id {dup} appears more than once in the roster")
-    for s in students:
-        for semester, mark in s.marks.items():
-            _check_mark(mark, f"student {s.id}, semester {semester!r}")
 
     edges: set[tuple[int, int]] = set()
     for src, tgt in nominations:

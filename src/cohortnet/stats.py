@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import AnalysisError, DataError
-from .model import Partition, _check_bin_width, _check_thresholds
+from .model import Partition, _check_bin_width, _check_mark, _check_thresholds
 
 SKEW_SHAPE_THRESHOLD = 0.5
 
@@ -95,9 +95,8 @@ def summarize(marks: Sequence[float], bin_width: float = 5) -> DistributionSumma
     if not marks:
         raise DataError("cannot summarize an empty mark list")
     _check_bin_width(bin_width)
-    for x in marks:
-        if not 0.0 <= x <= 100.0:
-            raise DataError(f"mark {x!r} outside [0, 100]")
+    for i, x in enumerate(marks):
+        _check_mark(x, f"mark list, entry {i}")
     n = len(marks)
     stddev = statistics.stdev(marks) if n >= 2 else None
     g1: float | None = None

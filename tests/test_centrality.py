@@ -84,6 +84,9 @@ class TestCloseness:
     def test_disconnected_refused(self):
         with pytest.raises(AnalysisError, match="2 components"):
             closeness(mknet([(1, 2), (3, 4)]))
+        # a path, a reciprocal pair and an isolated node
+        with pytest.raises(AnalysisError, match="^network has 3 components; "):
+            closeness(mknet([(1, 2), (2, 3), (4, 5), (5, 4)], nodes={6}))
 
     def test_complete_graph(self):
         edges = [(a, b) for a in range(4) for b in range(4) if a < b]

@@ -192,7 +192,7 @@ def _assert_exits_cleanly(argv, out, data):
         code = main([*argv, "--out-dir", str(out)])
     assert code in (0, 1, 2, 3)
     assert out.exists() == (code == 0)
-    locators = re.findall(r"line (\d+):", err.getvalue())
+    locators = re.findall(r"\bline (\d+)", err.getvalue())  # also a bare "line N", as json writes it
     assert all(1 <= int(n) <= _line_count(data) for n in locators)
 
 
@@ -416,6 +416,17 @@ class TestInputHardening:
         (tmp_path / "c.json").write_text(json.dumps(doc))
         assert main(["export", str(tmp_path / "c.json"),
                      "--out-dir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\n", 1), (b'{\r\r\r  "label": x}', 4), (b"", 1), (b'{"label": "t",\r\n', 1),
+    ], ids=["lf-only", "lone-crs", "empty", "crlf-then-end"])
+    def test_invalid_json_cohort_names_line(self, tmp_path, capsys, data, line):
+        (tmp_path / "c.json").write_bytes(data)
+        out = tmp_path / "out"
+        assert main(["report", str(tmp_path / "c.json"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: line {line}: cohort file is not valid JSON: ")
+        assert not out.exists()
 
     def test_deeply_nested_cohort_exit_2(self, tmp_path, capsys):
         (tmp_path / "deep.json").write_text("[" * 100_000)

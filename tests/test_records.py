@@ -137,6 +137,10 @@ def test_fields_cannot_be_reassigned(cls):
     (lambda: Student(id=True), DataError, "student id True is not an integer"),
     (lambda: Student(id=1, marks={"s5": True}), DataError,
      "student 1, semester 's5': mark True is not a number"),
+    (lambda: Student(id=3.5), DataError, "student id 3.5 is not an integer"),
+    (lambda: Student(id="7"), DataError, "student id '7' is not an integer"),
+    (lambda: Student(id=1, marks=[("s5", 80.0)]), DataError,
+     "student 1: marks [('s5', 80.0)] is not an object"),
     (lambda: Partition(assignment={}, k=0), DataError, "a partition needs at least one node"),
     (lambda: Partition(assignment={1: 0, 2: 2}, k=2), DataError,
      "cluster ids must be exactly 0..1, got [0, 2]"),
@@ -151,7 +155,9 @@ def test_fields_cannot_be_reassigned(cls):
     (lambda: InterventionPolicy(min_group=0), UsageError,
      "need 1 <= min_group <= max_group, got 0..18"),
 ], ids=[
-    "student-id", "student-mark", "student-bool-id", "student-bool-mark", "partition-empty", "partition-not-dense",
+    "student-id", "student-mark", "student-bool-id", "student-bool-mark",
+    "student-float-id", "student-str-id", "student-marks-not-a-dict",
+    "partition-empty", "partition-not-dense",
     "config-thresholds", "config-k-max", "config-bin-width", "config-group-size",
     "policy-thresholds", "policy-group-size",
 ])
