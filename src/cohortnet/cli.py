@@ -158,14 +158,6 @@ def _resolve_semester(cohort: Cohort, flag: str | None) -> str:
     )
 
 
-def _marks_for_all(cohort: Cohort, semester: str) -> dict[int, float]:
-    marks = cohort.marks_for(semester)
-    missing = sorted(cohort.network.nodes - set(marks))
-    if missing:
-        raise DataError(f"no {semester} mark for node(s) {missing}")
-    return marks
-
-
 def _communities(cohort: Cohort, cfg: RunConfig) -> tuple[Partition, ModularityCurve]:
     """Girvan-Newman on the configured view; the partition with the best Q."""
     from .community import best_partition, girvan_newman
@@ -246,7 +238,7 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]
 
     cohort = _load_cohort(args.cohort)
     semester = _resolve_semester(cohort, args.semester)
-    marks = _marks_for_all(cohort, semester)
+    marks = cohort.marks_for(semester)
     partition = _partition_for(cohort, args, cfg)
     perfs = cluster_performance(partition, marks, cfg.high_t, cfg.low_t)
     files: Files = {cfg.out_dir / "clusters.csv": iof.clusters_csv(perfs)}
@@ -260,7 +252,7 @@ def _cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
 
     cohort = _load_cohort(args.cohort)
     semester = _resolve_semester(cohort, args.semester)
-    marks = _marks_for_all(cohort, semester)
+    marks = cohort.marks_for(semester)
     partition = _partition_for(cohort, args, cfg)
     plan = plan_intervention(cohort.network, partition, marks, cfg)
     profiles = predicted_group_profile(plan, marks)
@@ -279,7 +271,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     mark_lists = []
     for cohort in cohorts:
         semester = _resolve_semester(cohort, args.semester)
-        marks = _marks_for_all(cohort, semester)
+        marks = cohort.marks_for(semester)
         mark_lists.append([marks[v] for v in sorted(marks)])
     comparison = None
     if len(mark_lists) == 2:
@@ -301,7 +293,7 @@ def _cmd_export(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     cohort = _load_cohort(args.cohort)
     marks = None
     if args.semester is not None:
-        marks = _marks_for_all(cohort, args.semester)
+        marks = cohort.marks_for(args.semester)
     partition = None
     if args.partition is not None:
         partition = iof.parse_partition_csv(args.partition.read_bytes())

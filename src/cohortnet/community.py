@@ -17,8 +17,8 @@ from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
 from .centrality import _fold_sources, _index_adjacency, _shortest_path_dag, top_k
-from .errors import AnalysisError, DataError
-from .model import Partition, UndirectedView, _components, partition_from_blocks
+from .errors import AnalysisError
+from .model import Partition, UndirectedView, _check_cover, _components, partition_from_blocks
 
 
 class DivisionStep(NamedTuple):
@@ -85,9 +85,7 @@ def modularity(view: UndirectedView, p: Partition) -> float:
     if m == 0:
         raise AnalysisError("modularity is undefined on an empty edge set")
     assignment = p.assignment
-    for v in view.nodes:
-        if v not in assignment:
-            raise DataError(f"node {v} has no cluster assignment")
+    _check_cover(view.nodes, assignment, "cluster")
     intra = [0] * p.k
     degree_sum = [0] * p.k
     for v, nbrs in view.adjacency.items():

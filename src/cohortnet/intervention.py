@@ -21,11 +21,12 @@ from enum import Enum
 from typing import NamedTuple
 
 from .config import RunConfig
-from .errors import AnalysisError, DataError
+from .errors import AnalysisError
 from .model import (
     FriendshipNetwork,
     Partition,
     SymmetrizeRule,
+    _check_cover,
     symmetrize,
 )
 from .stats import PerfClass, cluster_performance
@@ -122,20 +123,16 @@ def predicted_group_profile(
     plan: AssignmentPlan, marks: Mapping[int, float]
 ) -> list[GroupProfile]:
     """Size, mean mark, high-origin count and dispersed count per group."""
+    _check_cover((m for g in plan.groups for m in g.members), marks, "mark")
     profiles = []
     for g in plan.groups:
-        values = []
-        for m in g.members:
-            if m not in marks:
-                raise DataError(f"node {m} has no mark")
-            values.append(marks[m])
         dispersed = sum(1 for r in g.roles.values() if r is Role.DISPERSED)
         preserved = len(g.members) - dispersed
         profiles.append(
             GroupProfile(
                 index=g.index,
                 size=len(g.members),
-                mean_mark=statistics.fmean(values),
+                mean_mark=statistics.fmean([marks[m] for m in g.members]),
                 high_origin=preserved if g.anchor_perf is PerfClass.HIGH else 0,
                 dispersed=dispersed,
             )

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, TypeVar
 
 from .errors import DataError
-from .model import Cohort, FriendshipNetwork, Gender, Partition, Student, make_cohort
+from .model import Cohort, FriendshipNetwork, Gender, Partition, Student, _check_cover, make_cohort
 
 if TYPE_CHECKING:
     from .centrality import CentralityScores
@@ -415,13 +415,9 @@ def check_coverage(
             raise DataError(
                 f"partition mentions unknown node(s) {sorted(extra)}"
             )
-        missing = set(net.nodes) - set(partition.assignment)
-        if missing:
-            raise DataError(f"partition misses node(s) {sorted(missing)}")
+        _check_cover(net.nodes, partition.assignment, "cluster")
     if marks is not None:
-        unmarked = set(net.nodes) - set(marks)
-        if unmarked:
-            raise DataError(f"no mark for node(s) {sorted(unmarked)}")
+        _check_cover(net.nodes, marks, "mark")
 
 
 _DOT_SHAPES = {Gender.MALE: "circle", Gender.FEMALE: "square", Gender.UNSPECIFIED: "ellipse"}

@@ -9,7 +9,7 @@ ties only).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -59,6 +59,13 @@ def _check_mark(value: object, context: str) -> float:
     return mark
 
 
+def _check_cover(nodes: Iterable[int], covered: Container[int], what: str) -> None:
+    """The coverage rule: every node has a ``what`` (a mark, a cluster)."""
+    missing = sorted(v for v in nodes if v not in covered)
+    if missing:
+        raise DataError(f"no {what} for node(s) {missing}")
+
+
 # The run settings' rules that stats shares with RunConfig.
 def _check_thresholds(high_t: float, low_t: float) -> None:
     if not low_t < high_t:
@@ -97,6 +104,9 @@ class Student(_StudentFields):
         marks = {} if marks is None else marks
         if not isinstance(marks, dict):
             raise DataError(f"student {id}: marks {marks!r} is not an object")
+        for s in marks:  # save_cohort and export_roster write only string labels
+            if not isinstance(s, str):
+                raise DataError(f"student {id}: semester {s!r} is not a string")
         # stored as floats, so a cohort file reads back as the bytes it was saved as
         return super().__new__(cls, id, gender, {
             s: _check_mark(m, f"student {id}, semester {s!r}") for s, m in marks.items()})
@@ -126,7 +136,6 @@ class FriendshipNetwork(_NetworkFields):
 class _ViewFields(NamedTuple):
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
-    rule: SymmetrizeRule
 
 
 class UndirectedView(_ViewFields):
@@ -144,7 +153,7 @@ class UndirectedView(_ViewFields):
         """Subview on ``keep``; drops edges with an endpoint outside."""
         kept = frozenset(keep)
         edges = frozenset(e for e in self.edges if e[0] in kept and e[1] in kept)
-        return UndirectedView(nodes=kept, edges=edges, rule=self.rule)
+        return UndirectedView(nodes=kept, edges=edges)
 
     def components(self) -> list[set[int]]:
         """Connected components, largest first, ties by smallest member id."""
@@ -252,7 +261,7 @@ def symmetrize(net: FriendshipNetwork, rule: SymmetrizeRule) -> UndirectedView:
         pairs = {(min(s, t), max(s, t)) for s, t in net.edges}
     else:
         pairs = {(min(s, t), max(s, t)) for s, t in net.edges if (t, s) in net.edges}
-    return UndirectedView(nodes=net.nodes, edges=frozenset(pairs), rule=rule)
+    return UndirectedView(nodes=net.nodes, edges=frozenset(pairs))
 
 
 class Cohort(NamedTuple):
@@ -268,8 +277,10 @@ class Cohort(NamedTuple):
         return sorted(labels)
 
     def marks_for(self, semester: str) -> dict[int, float]:
-        """Marks of every student that has one for ``semester``."""
-        return {s.id: s.marks[semester] for s in self.students if semester in s.marks}
+        """Every node's mark for ``semester``; refused unless each node has one."""
+        marks = {s.id: s.marks[semester] for s in self.students if semester in s.marks}
+        _check_cover(self.network.nodes, marks, f"{semester} mark")
+        return marks
 
     def genders(self) -> dict[int, Gender]:
         return {s.id: s.gender for s in self.students}

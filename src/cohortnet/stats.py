@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import AnalysisError, DataError
-from .model import Partition, _check_bin_width, _check_mark, _check_thresholds
+from .model import Partition, _check_bin_width, _check_cover, _check_mark, _check_thresholds
 
 SKEW_SHAPE_THRESHOLD = 0.5
 
@@ -130,14 +130,10 @@ def cluster_performance(
     below ``low_t``.
     """
     _check_thresholds(high_t, low_t)
+    _check_cover(p.assignment, marks, "mark")
     out: list[ClusterPerformance] = []
     for cid, members in enumerate(p.clusters()):
-        values = []
-        for node in sorted(members):
-            if node not in marks:
-                raise DataError(f"node {node} has no mark")
-            values.append(marks[node])
-        mean = statistics.fmean(values)
+        mean = statistics.fmean([marks[node] for node in sorted(members)])
         if mean >= high_t:
             perf = PerfClass.HIGH
         elif mean < low_t:

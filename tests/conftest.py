@@ -1,6 +1,6 @@
 import pytest
 
-from cohortnet import Student, SymmetrizeRule, UndirectedView, build_network
+from cohortnet import Student, UndirectedView, build_network
 
 
 def mknet(edges, nodes=(), label="t"):
@@ -13,7 +13,7 @@ def mknet(edges, nodes=(), label="t"):
 def mkview(undirected_edges, nodes=()):
     ids = set(nodes) | {v for e in undirected_edges for v in e}
     edges = frozenset((min(a, b), max(a, b)) for a, b in undirected_edges)
-    return UndirectedView(nodes=frozenset(ids), edges=edges, rule=SymmetrizeRule.UNION)
+    return UndirectedView(nodes=frozenset(ids), edges=edges)
 
 
 def lcf_edges(n, shifts, repeats):

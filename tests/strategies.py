@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cohortnet import (
     Gender,
     Student,
-    SymmetrizeRule,
     UndirectedView,
     build_network,
     make_cohort,
@@ -33,9 +32,7 @@ def undirected_views(draw, min_nodes=2, max_nodes=8):
     nodes = list(range(n))
     possible = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
     edges = draw(st.sets(st.sampled_from(possible)) if possible else st.just(set()))
-    return UndirectedView(
-        nodes=frozenset(nodes), edges=frozenset(edges), rule=SymmetrizeRule.UNION
-    )
+    return UndirectedView(nodes=frozenset(nodes), edges=frozenset(edges))
 
 
 marks_lists = st.lists(

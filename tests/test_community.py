@@ -86,7 +86,7 @@ class TestModularity:
 
     def test_unassigned_node(self):
         view = mkview([(1, 2)])
-        with pytest.raises(DataError, match="node 2 has no cluster assignment"):
+        with pytest.raises(DataError, match=r"^no cluster for node\(s\) \[2\]$"):
             modularity(view, Partition(assignment={1: 0}, k=1))
 
     @settings(max_examples=100, deadline=None)

@@ -430,7 +430,7 @@ class TestGraphExport:
 
     def test_partition_must_cover_nodes(self):
         net = mknet([(1, 2)])
-        with pytest.raises(DataError, match=r"partition misses node\(s\) \[2\]"):
+        with pytest.raises(DataError, match=r"^no cluster for node\(s\) \[2\]$"):
             export_graph(net, GraphFormat.DOT, partition=Partition(assignment={1: 0}, k=1))
         with pytest.raises(DataError, match=r"partition mentions unknown node\(s\) \[9\]"):
             export_graph(

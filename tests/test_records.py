@@ -53,9 +53,7 @@ RECORDS = {
     Student: ({"id": 1, "gender": Gender.FEMALE, "marks": {"s5": 80.0}}, "id", 2),
     FriendshipNetwork: (NETWORK, "label", "u"),
     UndirectedView: (
-        {"nodes": frozenset({1, 2}), "edges": frozenset({(1, 2)}),
-         "rule": SymmetrizeRule.UNION},
-        "rule", SymmetrizeRule.INTERSECTION,
+        {"nodes": frozenset({1, 2}), "edges": frozenset({(1, 2)})}, "edges", frozenset(),
     ),
     Partition: (PARTITION, "q", 0.5),
     Cohort: (
@@ -141,6 +139,7 @@ def test_fields_cannot_be_reassigned(cls):
     (lambda: Student(id="7"), DataError, "student id '7' is not an integer"),
     (lambda: Student(id=1, marks=[("s5", 80.0)]), DataError,
      "student 1: marks [('s5', 80.0)] is not an object"),
+    (lambda: Student(id=1, marks={5: 80.0}), DataError, "student 1: semester 5 is not a string"),
     (lambda: Partition(assignment={}, k=0), DataError, "a partition needs at least one node"),
     (lambda: Partition(assignment={1: 0, 2: 2}, k=2), DataError,
      "cluster ids must be exactly 0..1, got [0, 2]"),
@@ -156,7 +155,7 @@ def test_fields_cannot_be_reassigned(cls):
      "need 1 <= min_group <= max_group, got 0..18"),
 ], ids=[
     "student-id", "student-mark", "student-bool-id", "student-bool-mark",
-    "student-float-id", "student-str-id", "student-marks-not-a-dict",
+    "student-float-id", "student-str-id", "student-marks-not-a-dict", "student-int-semester",
     "partition-empty", "partition-not-dense",
     "config-thresholds", "config-k-max", "config-bin-width", "config-group-size",
     "policy-thresholds", "policy-group-size",
@@ -181,8 +180,8 @@ def test_replace_checks_like_construction(record, name, value, error, message):
 
 @pytest.mark.parametrize("build, prop", [
     (lambda: FriendshipNetwork(**NETWORK), "out_adjacency"),
-    (lambda: UndirectedView(nodes=frozenset({1, 2, 3}), edges=frozenset({(1, 2)}),
-                            rule=SymmetrizeRule.UNION), "adjacency"),
+    (lambda: UndirectedView(nodes=frozenset({1, 2, 3}), edges=frozenset({(1, 2)})),
+     "adjacency"),
 ], ids=["out_adjacency", "adjacency"])
 def test_cached_property_is_computed_once(build, prop):
     record = build()

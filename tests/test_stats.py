@@ -118,7 +118,7 @@ class TestClusterPerformance:
 
     def test_missing_mark(self):
         p = Partition(assignment={1: 0, 2: 0}, k=1)
-        with pytest.raises(DataError, match="node 2 has no mark"):
+        with pytest.raises(DataError, match=r"^no mark for node\(s\) \[2\]$"):
             cluster_performance(p, {1: 50})
 
     def test_bad_thresholds(self):
