@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 import os
 import signal
@@ -270,14 +271,20 @@ def eigenvector(net: FriendshipNetwork) -> CentralityScores:
     order = sorted(view.nodes)
     rows = _row_getters(_index_adjacency(order, view.adjacency))
     x = [1.0] * len(order)
+    watch = 0  # the score that moved most at the last full scan
     for _ in range(POWER_ITERATION_CAP):
-        # x[i] + (0 + neighbours): sum(row(x), x[i]) would add in another order
-        y = [xi + sum(row(x)) for xi, row in zip(x, rows)]
+        # fsum is correctly rounded, so the scores are the same on every CPython
+        y = [xi + math.fsum(row(x)) for xi, row in zip(x, rows)]
         top = max(y)
         y = [v / top for v in y]
-        if max(map(abs, map(operator.sub, y, x))) < POWER_ITERATION_TOL:
-            x = y
-            break
+        # no full scan can pass while the watched score still moves by TOL or more
+        if abs(y[watch] - x[watch]) < POWER_ITERATION_TOL:
+            moves = list(map(abs, map(operator.sub, y, x)))
+            largest = max(moves)
+            if largest < POWER_ITERATION_TOL:
+                x = y
+                break
+            watch = moves.index(largest)
         x = y
     else:
         raise AnalysisError(

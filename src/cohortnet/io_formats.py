@@ -149,12 +149,6 @@ def parse_roster(data: bytes | str) -> list[Student]:
         if sid in seen:
             raise DataError(f"duplicate student id {sid}", line=line)
         seen.add(sid)
-        try:
-            gender = Gender(row[1])
-        except ValueError:
-            raise DataError(
-                f"gender {row[1]!r} is not one of M, F, U", line=line
-            ) from None
         marks: dict[str, float] = {}
         for semester, cell in zip(semesters, row[2:]):
             if cell == "":
@@ -163,8 +157,8 @@ def parse_roster(data: bytes | str) -> list[Student]:
                 marks[semester] = float(cell)
             except ValueError:
                 raise DataError(f"mark {cell!r} is not a number", line=line) from None
-        try:  # Student applies the mark rule
-            students.append(Student(id=sid, gender=gender, marks=marks))
+        try:  # Student applies the gender and mark rules
+            students.append(Student(id=sid, gender=row[1], marks=marks))
         except DataError as exc:
             raise DataError(str(exc), line=line) from None
     return students
@@ -359,15 +353,6 @@ def save_cohort(cohort: Cohort) -> bytes:
     ).encode("utf-8")
 
 
-def _json_id(value: object) -> int:
-    """An id from a cohort file; strings, bools and fractional numbers are refused."""
-    if type(value) is int:  # never a bool: type(True) is bool
-        return value
-    if isinstance(value, (str, bool)) or (isinstance(value, float) and not value.is_integer()):
-        raise DataError(f"cohort file: id {value!r} is not an integer")
-    return int(value)  # type: ignore[call-overload]
-
-
 def load_cohort(data: bytes | str) -> Cohort:
     text = _text(data)
     try:
@@ -384,15 +369,12 @@ def load_cohort(data: bytes | str) -> Cohort:
         raise DataError("cohort file nests its arrays or objects too deeply") from None
     try:
         label = doc["label"]
-        if not isinstance(label, str):
-            raise DataError(f"cohort file: label {label!r} is not a string")
         students = []
-        for s in doc["students"]:
-            sid, gender, marks = _json_id(s["id"]), Gender(s["gender"]), s.get("marks", {})
-            if marks is None:  # Student reads None as no marks; save_cohort writes {}
-                raise DataError(f"student {sid}: marks None is not an object")
-            students.append(Student(id=sid, gender=gender, marks=marks))
-        edges = [(_json_id(s), _json_id(t)) for s, t in doc["edges"]]
+        for s in doc["students"]:  # Student and make_cohort check the values
+            students.append(Student(id=s["id"], gender=s["gender"], marks=s.get("marks", {})))
+            if s.get("marks", {}) is None:  # Student reads None as no marks; save_cohort writes {}
+                raise DataError(f"student {students[-1].id}: marks None is not an object")
+        edges = [(src, tgt) for src, tgt in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"cohort file has an unexpected shape: {exc}") from None
     return make_cohort(students, edges, label)

@@ -59,6 +59,17 @@ def _check_mark(value: object, context: str) -> float:
     return mark
 
 
+def _check_id(value: object, what: str) -> int:
+    """The id rule: an int, not a bool, not negative; an integral float counts as that int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{what} {value!r} is not an integer")
+    if value < 0:
+        raise DataError(f"{what} {value} must be non-negative")
+    return int(value)
+
+
 def _check_cover(nodes: Iterable[int], covered: Container[int], what: str) -> None:
     """The coverage rule: every node has a ``what`` (a mark, a cluster)."""
     missing = sorted(v for v in nodes if v not in covered)
@@ -97,10 +108,11 @@ class Student(_StudentFields):
 
     def __new__(cls, id: int, gender: Gender = Gender.UNSPECIFIED,
                 marks: dict[str, float] | None = None) -> Student:
-        if isinstance(id, bool) or not isinstance(id, int):
-            raise DataError(f"student id {id!r} is not an integer")
-        if id < 0:
-            raise DataError(f"student id {id} must be non-negative")
+        id = _check_id(id, "student id")
+        try:  # a member or its code
+            gender = Gender(gender)
+        except ValueError:
+            raise DataError(f"student {id}: gender {gender!r} is not one of M, F, U") from None
         marks = {} if marks is None else marks
         if not isinstance(marks, dict):
             raise DataError(f"student {id}: marks {marks!r} is not an object")
@@ -121,8 +133,8 @@ class _NetworkFields(NamedTuple):
 class FriendshipNetwork(_NetworkFields):
     """Directed simple graph over student ids.
 
-    Invariants (enforced by :func:`build_network`): no self-loops, no
-    duplicate edges, every edge endpoint is a known node.
+    Invariants (enforced by :func:`build_network`): a str label, no self-loops,
+    no duplicate edges, every edge endpoint is a known int node.
     """
 
     @cached_property
@@ -229,6 +241,8 @@ def build_network(
     With ``dedupe`` a repeated nomination is dropped with a warning instead
     of raising :class:`DataError`.
     """
+    if not isinstance(label, str):
+        raise DataError(f"label {label!r} is not a string")
     students = list(roster)
     ids = [s.id for s in students]
     nodes = frozenset(ids)
@@ -239,6 +253,10 @@ def build_network(
 
     edges: set[tuple[int, int]] = set()
     for src, tgt in nominations:
+        if type(src) is not int:  # True and 1.0 would pass `in nodes` as 1
+            src = _check_id(src, "edge source")
+        if type(tgt) is not int:
+            tgt = _check_id(tgt, "edge target")
         if src == tgt:
             raise DataError(f"self-nomination ({src}, {tgt}) is not allowed")
         if src not in nodes:

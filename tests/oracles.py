@@ -279,7 +279,7 @@ def power_iteration_ref(nbrs, tol=1e-10, cap=1000):
     n = len(nbrs)
     x = [1.0] * n
     for _ in range(cap):
-        y = [x[i] + sum(x[j] for j in nbrs[i]) for i in range(n)]
+        y = [x[i] + math.fsum(x[j] for j in nbrs[i]) for i in range(n)]
         top = max(y)
         y = [v / top for v in y]
         if max(abs(y[i] - x[i]) for i in range(n)) < tol:

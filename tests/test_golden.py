@@ -32,6 +32,9 @@ GOLDEN = {
 # `analyze --measure closeness --top 3` on the same cohort. Closeness sums
 # integer distances, so every supported CPython writes these bytes.
 CLOSENESS_CSV = "4c9e2a3ec9d90c9b799b9d6b94832b54441febca97d54aa3a4592ef6dea394e0"
+# `analyze --measure eigenvector`. The power iteration sums each row with
+# math.fsum, which is correctly rounded, so every supported CPython writes these.
+EIGENVECTOR_CSV = "66d1f01e12c42d0a8064437ba9c81919e76003f3aeda198ffa54ed6cf3aa49e0"
 
 
 def _sha(path):
@@ -84,3 +87,9 @@ def test_top_with_closeness_keeps_representatives(demo_out, tmp_path):
                  "--top", "3", "--out-dir", str(tmp_path)]) == 0
     assert _sha(tmp_path / "representatives.csv") == GOLDEN["representatives.csv"]
     assert _sha(tmp_path / "centrality_closeness.csv") == CLOSENESS_CSV
+
+
+def test_eigenvector_scores_are_pinned(demo_out, tmp_path):
+    assert main(["analyze", str(demo_out / "cohort.json"), "--measure", "eigenvector",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert _sha(tmp_path / "centrality_eigenvector.csv") == EIGENVECTOR_CSV

@@ -357,6 +357,31 @@ class TestGraphExport:
                             partition=partition)
         assert data == export_graphml_ref(net, genders, marks, partition)
 
+    @example((mknet([(1, 2)], label='"<&>'), {1: Gender.MALE}, {1: 5, 2: 0.1}, None))
+    @example((mknet([(2, 1)], label="a\tb\nc\rd"), None, None,
+              Partition(assignment={1: 0, 2: 1}, k=2)))
+    @given(graphml_exports())
+    def test_graphml_round_trips(self, export):
+        net, genders, marks, partition = export
+        root = ET.fromstring(export_graph(net, GraphFormat.GRAPHML, genders=genders,
+                                          marks=marks, partition=partition))
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        names = {key.get("id"): key.get("attr.name") for key in root.iter(ns + "key")}
+        graph = root.find(ns + "graph")
+        assert graph.get("id") == net.label
+        nodes = [int(node.get("id")) for node in graph.iter(ns + "node")]
+        assert nodes == sorted(net.nodes)
+        data = {(int(node.get("id")), names[d.get("key")]): d.text
+                for node in graph.iter(ns + "node") for d in node.iter(ns + "data")}
+        edges = [(int(e.get("source")), int(e.get("target"))) for e in graph.iter(ns + "edge")]
+        assert len(edges) == len(net.edges) and set(edges) == net.edges
+        assert {v: text for (v, name), text in data.items() if name == "gender"} == {
+            v: g.value for v, g in (genders or {}).items()}
+        got = {v: float(text) for (v, name), text in data.items() if name == "mark"}
+        assert got == (marks or {})
+        got = {v: int(text) for (v, name), text in data.items() if name == "cluster"}
+        assert got == (partition.assignment if partition else {})
+
     def test_dot_styling(self):
         net = mknet([], nodes={1})
         data = export_graph(

@@ -8,9 +8,7 @@ nothing there. Betweenness forks its workers when more than one CPU is
 usable, so the same test under ``taskset -c 0`` checks that one CPU writes
 the same bytes as all of them.
 
-The two ``centrality_eigenvector.csv`` files differ between CPython 3.10/3.11
-and 3.12/3.13 (ROADMAP item 2), so the manifest holds one hash per version
-pair for them. To print the entries this CPython writes, run
+To print the entries this CPython writes, run
 
     PYTHONPATH=src python3 tests/test_workload_bytes.py EMPTY_DIR
 """
@@ -82,16 +80,6 @@ def run_workloads():
     return entries
 
 
-def _expected(version):
-    """The manifest, each per-version entry resolved for ``version`` ("3.11")."""
-    expected = {}
-    for key, value in json.loads(MANIFEST.read_text()).items():
-        if isinstance(value, dict):  # {"3.10 3.11": sha256, "3.12 3.13": sha256}
-            [value] = [sha for versions, sha in value.items() if version in versions.split()]
-        expected[key] = value
-    return expected
-
-
 def test_workload_outputs_match_manifest(tmp_path, monkeypatch):
     for key in [k for k in os.environ if k.startswith("COHORTNET_")]:
         monkeypatch.delenv(key)
@@ -107,7 +95,7 @@ def test_workload_outputs_match_manifest(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.chdir(tmp_path)
     got = run_workloads()
-    assert got == _expected(f"{sys.version_info[0]}.{sys.version_info[1]}")
+    assert got == json.loads(MANIFEST.read_text())
     # gn400_cli's division loop and central800_cli's betweenness fork on two CPUs or more
     assert bool(forks) == (_usable_cpus() > 1)
 
