@@ -20,6 +20,7 @@ from .errors import AnalysisError, DataError, UsageError
 from .model import Cohort, Measure, Mode, Partition, SymmetrizeRule, make_cohort, symmetrize
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
     from logging import Logger
 
     from .community import ModularityCurve
@@ -181,15 +182,26 @@ def _wrote(files: Files) -> str:
     return f"wrote {', '.join(str(p) for p in files)}\n"
 
 
+def _drop_repeats(ties: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """``ingest --dedupe``: each tie once, a warning as each repeat is dropped."""
+    seen: set[tuple[int, int]] = set()
+    for tie in ties:
+        if tie in seen:
+            _log().warning("duplicate nomination (%s, %s) ignored", *tie)
+        else:
+            seen.add(tie)
+            yield tie
+
+
 def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     roster = iof.parse_roster(args.roster.read_bytes())
     if args.edges is not None:
         nominations = iof.parse_edges(args.edges.read_bytes())
     else:
         nominations = iof.parse_adjacency(args.adjacency.read_bytes(), {s.id for s in roster})
-    if args.dedupe:  # make_cohort logs each repeated nomination it drops
-        _log()
-    cohort = make_cohort(roster, nominations, args.label, dedupe=args.dedupe)
+    # a generator, so each warning comes out as make_cohort reaches its tie
+    ties = _drop_repeats(nominations) if args.dedupe else nominations
+    cohort = make_cohort(roster, ties, args.label)
     return (f"wrote {args.out} ({len(cohort.students)} students, "
             f"{len(cohort.network.edges)} ties)\n"), {args.out: iof.save_cohort(cohort)}
 

@@ -80,25 +80,22 @@ def _edge_betweenness_subset(
 
 
 def modularity(view: UndirectedView, p: Partition) -> float:
-    """Newman-Girvan Q of ``p`` on ``view``."""
+    """Newman-Girvan Q of ``p`` on ``view``, correctly rounded."""
     m = len(view.edges)
     if m == 0:
         raise AnalysisError("modularity is undefined on an empty edge set")
     assignment = p.assignment
     _check_cover(view.nodes, assignment, "cluster")
-    intra = [0] * p.k
-    degree_sum = [0] * p.k
-    for v, nbrs in view.adjacency.items():
-        degree_sum[assignment[v]] += len(nbrs)
+    inside = 0
+    ends = [0] * p.k  # each cluster's degree sum
     for u, v in view.edges:
-        if assignment[u] == assignment[v]:
-            intra[assignment[u]] += 1
-    two_m = 2.0 * m
-    # a left fold, not sum(): from 3.12 on, sum() compensates float additions
-    q = 0
-    for c in range(p.k):
-        q += intra[c] / m - (degree_sum[c] / two_m) ** 2
-    return q
+        cu, cv = assignment[u], assignment[v]
+        ends[cu] += 1
+        ends[cv] += 1
+        if cu == cv:
+            inside += 1
+    # Q over the shared denominator 4m^2: one int/int division, so equal Q are equal floats
+    return (4 * m * inside - sum(e * e for e in ends)) / (4 * m * m)
 
 
 def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> DivisionTrace:

@@ -233,14 +233,8 @@ def build_network(
     roster: Iterable[Student],
     nominations: Iterable[tuple[int, int]],
     label: str,
-    *,
-    dedupe: bool = False,
 ) -> FriendshipNetwork:
-    """Validate roster and nominations and assemble the directed network.
-
-    With ``dedupe`` a repeated nomination is dropped with a warning instead
-    of raising :class:`DataError`.
-    """
+    """Validate roster and nominations and assemble the directed network."""
     if not isinstance(label, str):
         raise DataError(f"label {label!r} is not a string")
     students = list(roster)
@@ -264,10 +258,6 @@ def build_network(
         if tgt not in nodes:
             raise DataError(f"edge target {tgt} is not in the roster")
         if (src, tgt) in edges:
-            if dedupe:
-                from logging import getLogger  # imported on this path only
-                getLogger(__name__).warning("duplicate nomination (%s, %s) ignored", src, tgt)
-                continue
             raise DataError(f"nomination ({src}, {tgt}) appears more than once")
         edges.add((src, tgt))
     return FriendshipNetwork(label=label, nodes=nodes, edges=frozenset(edges))
@@ -308,9 +298,7 @@ def make_cohort(
     roster: Iterable[Student],
     nominations: Iterable[tuple[int, int]],
     label: str,
-    *,
-    dedupe: bool = False,
 ) -> Cohort:
     students = tuple(sorted(roster, key=lambda s: s.id))
-    net = build_network(students, nominations, label, dedupe=dedupe)
+    net = build_network(students, nominations, label)
     return Cohort(network=net, students=students)

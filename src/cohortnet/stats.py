@@ -59,13 +59,34 @@ class GroupComparison(NamedTuple):
     mean_difference: float  # mean(a) - mean(b)
 
 
+def _stdev(marks: Sequence[float]) -> float:
+    """Sample standard deviation (n >= 2): the exact variance's square root, rounded once.
+
+    The same float on every CPython; 3.10's ``statistics.stdev`` rounds twice.
+    """
+    ratios = [float(x).as_integer_ratio() for x in marks]
+    den = max(d for _, d in ratios)  # a power of 2, so every other d divides it
+    nums = [a * (den // d) for a, d in ratios]
+    n = len(nums)
+    top = n * sum(a * a for a in nums) - sum(nums) ** 2
+    bottom = n * (n - 1) * den * den
+    # the integer root of top/bottom to at least 55 bits, rounded to odd (an inexact root
+    # gets an odd last bit), then one int/int division rounds it to the nearest float,
+    # subnormals too (math.ldexp would round those twice)
+    k = max(0, (bottom.bit_length() - top.bit_length() + 110) // 2)
+    top <<= 2 * k
+    root = math.isqrt(top // bottom)
+    root |= root * root * bottom != top
+    return root / (1 << k)
+
+
 def skewness(marks: Sequence[float]) -> float:
     """Adjusted Fisher-Pearson g1 of the sample."""
     n = len(marks)
     if n < 3:
         raise AnalysisError(f"skewness needs at least 3 samples, got {n}")
     mean = statistics.fmean(marks)
-    s = statistics.stdev(marks)
+    s = _stdev(marks)
     if s == 0.0:
         raise AnalysisError("skewness is undefined for a constant sample")
     third = math.fsum(((x - mean) / s) ** 3 for x in marks)
@@ -98,7 +119,7 @@ def summarize(marks: Sequence[float], bin_width: float = 5) -> DistributionSumma
     for i, x in enumerate(marks):
         _check_mark(x, f"mark list, entry {i}")
     n = len(marks)
-    stddev = statistics.stdev(marks) if n >= 2 else None
+    stddev = _stdev(marks) if n >= 2 else None
     g1: float | None = None
     shape: Shape | None = None
     if n >= 3 and stddev:

@@ -49,7 +49,7 @@ def symmetric_cases(failing):
     Float sums of exactly tied values differ in their last bits, so the
     tie-break contract does not hold on those yet (ROADMAP item 1).
     """
-    xfail = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    xfail = pytest.mark.xfail(reason="ROADMAP item 1")
     return [pytest.param(name, marks=xfail if name in failing else ())
             for name in sorted(SYMMETRIC)]
 

@@ -310,26 +310,6 @@ def closeness_ref(nbrs):
     return scores
 
 
-def modularity_ref(view, p):
-    """Newman-Girvan Q as a left fold from the int 0, cluster by cluster.
-
-    These are the bits sum() gave up to Python 3.11; from 3.12, sum()
-    compensates float additions and would give others.
-    """
-    m = len(view.edges)
-    intra = [0] * p.k
-    ends = [0] * p.k
-    for u, v in view.edges:
-        ends[p.assignment[u]] += 1
-        ends[p.assignment[v]] += 1
-        if p.assignment[u] == p.assignment[v]:
-            intra[p.assignment[u]] += 1
-    q = 0
-    for c in range(p.k):
-        q = q + (intra[c] / m - (ends[c] / (2.0 * m)) ** 2)
-    return q
-
-
 def planted_community_edges(seed, n=400, intra_prob=0.55, reciprocal_prob=0.6):
     """Directed ties of a seeded cohort of ``n`` students in communities of 4-12.
 

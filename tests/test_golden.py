@@ -16,7 +16,7 @@ GOLDEN = {
     "edges.csv": "6a6275439e9049d776c34cd8041d192807595af1bd5248bb30c69636eba8775e",
     "cohort.json": "b364751cc058d2b872abc57fab3da457c4b6095b144b8e8cbf58d6923930da33",
     "ingested.json": "b364751cc058d2b872abc57fab3da457c4b6095b144b8e8cbf58d6923930da33",
-    "modularity_curve.csv": "ab2d6da9b452110432e57523ecfdc828834ece784f7f9efb17827c0bb3c6e3dc",
+    "modularity_curve.csv": "7083a70fa52ca9a20285735921c6df83ec3c8e9314aece3feaa821d1660c8428",
     "partition.csv": "da1a79d7c3a26bd9aa3f8177537d935ef223d55187e4946bd2ba0f5f30d21033",
     "centrality_betweenness.csv": "e953e6a33e63505a53e35207ede1a9ed85ada5fb64eaf377ff6f59763721cc04",
     "representatives.csv": "aeb31d8e6a8d68f6b9a63a2b384e7a8fbab089934a91b0ed767567909f73c3b1",

@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 from hypothesis import given, settings
 
@@ -33,12 +31,6 @@ class TestBuildNetwork:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DataError, match=r"nomination \(1, 2\) appears more than once"):
             build_network(roster(1, 2), [(1, 2), (1, 2)], "t")
-
-    def test_duplicate_edge_deduped_with_flag(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            net = build_network(roster(1, 2), [(1, 2), (1, 2)], "t", dedupe=True)
-        assert net.edges == frozenset({(1, 2)})
-        assert any("duplicate nomination" in r.message for r in caplog.records)
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(DataError, match="edge target 9 is not in the roster"):

@@ -1,7 +1,10 @@
+import math
 import statistics
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohortnet import (
     Partition,
@@ -9,6 +12,7 @@ from cohortnet import (
     Shape,
     cluster_performance,
     compare_groups,
+    generate_demo_cohort,
     skewness,
     summarize,
 )
@@ -100,6 +104,33 @@ class TestSummarize:
         for width in (1, 3, 5, 20):
             s = summarize(marks, bin_width=width)
             assert sum(c for _, c in s.histogram) == len(marks)
+
+
+class TestStddev:
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.lists(st.floats(0, 100), min_size=2, max_size=40),
+        st.lists(st.integers(0, 100), min_size=2, max_size=40),
+        st.lists(st.floats(0, 1e-300), min_size=2, max_size=10),  # subnormal results
+        st.builds(lambda x, n: [x] * n, st.floats(0, 100), st.integers(2, 10)),
+    ))
+    @example([0.0, 5e-324])
+    @example([0, 5e-324, 5e-324])
+    def test_correctly_rounded(self, marks):
+        s = summarize(marks).stddev
+        xs = [Fraction(x) for x in marks]
+        mean = sum(xs) / len(xs)
+        variance = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+        # s is the nearest float to the root: it lies between the midpoints to its neighbours
+        low = max(Fraction(0), (Fraction(math.nextafter(s, -math.inf)) + Fraction(s)) / 2)
+        high = (Fraction(s) + Fraction(math.nextafter(s, math.inf))) / 2
+        assert low ** 2 <= variance <= high ** 2
+
+    def test_demo_seed_1_is_pinned(self):
+        # 11.784507677969463 with CPython 3.10's statistics.stdev, which rounds twice
+        cohort, _ = generate_demo_cohort(1)
+        marks = cohort.marks_for("s5")
+        assert summarize([marks[v] for v in sorted(marks)]).stddev == 11.784507677969462
 
 
 class TestClusterPerformance:
