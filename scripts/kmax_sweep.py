@@ -33,11 +33,11 @@ def main() -> None:
         print(f"\nrule={rule.value} ({len(view.edges)} undirected edges)")
         for k_max in args.k_max_values:
             try:
-                best, _ = best_partition(view, trace, k_max)
+                best, curve = best_partition(view, trace, k_max)
             except AnalysisError as exc:
                 print(f"  k_max={k_max:3d}  ->  refused: {exc}")
                 continue
-            print(f"  k_max={k_max:3d}  ->  k={best.k:3d}, Q={best.q:.4f}")
+            print(f"  k_max={k_max:3d}  ->  k={best.k:3d}, Q={dict(curve.points)[best.k]:.4f}")
 
 
 if __name__ == "__main__":

@@ -147,8 +147,9 @@ def _fold_sources(
 
     total = [0.0] * width
     workers = 1
-    if width and hasattr(os, "memfd_create") and threading.active_count() == 1:
-        workers = max(1, min(_usable_cpus(), n_sources // FORK_MIN_BLOCK))
+    if (n_sources >= 2 * FORK_MIN_BLOCK and width and hasattr(os, "memfd_create")
+            and threading.active_count() == 1):  # probe the CPUs only when a fork can follow
+        workers = min(_usable_cpus(), n_sources // FORK_MIN_BLOCK)
     fd = -1
     live: set[int] = set()  # children not yet reaped
     try:

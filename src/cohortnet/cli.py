@@ -215,7 +215,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     out = cfg.out_dir
     if args.communities:
         best, curve = _communities(cohort, cfg)
-        return (f"best partition: k={best.k}, Q={best.q:.4f} "
+        return (f"best partition: k={best.k}, Q={dict(curve.points)[best.k]:.4f} "
                 f"(wrote {out / 'modularity_curve.csv'}, {out / 'partition.csv'})\n"), {
             out / "modularity_curve.csv": iof.curve_csv(curve),
             out / "partition.csv": iof.partition_csv(best),

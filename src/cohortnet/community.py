@@ -3,8 +3,8 @@
 The divisive loop removes the undirected edge with the highest geodesic
 edge betweenness, recomputing betweenness after every removal, until no
 edges remain. Each time the removal splits a component, the resulting
-partition is snapshotted together with its modularity Q, computed against
-the original (undivided) view so the whole curve is mutually comparable.
+partition is snapshotted. Selection scores each snapshot it may pick by its
+modularity Q against the original (undivided) view, so the curve is comparable.
 
 Q follows the Newman-Girvan definition: Q = sum_c (e_cc - a_c^2), where
 e_cc is the fraction of edges with both endpoints in cluster c and a_c is
@@ -110,13 +110,9 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
     if not view.edges:
         return DivisionTrace(initial=None, steps=())
 
-    def scored(blocks: list[set[int]]) -> Partition:
-        p = partition_from_blocks(blocks)
-        return Partition(assignment=p.assignment, k=p.k, q=modularity(view, p))
-
     adjacency: dict[int, set[int]] = {v: set(view.adjacency[v]) for v in view.nodes}
     blocks = _components(view.nodes, adjacency)
-    initial = scored(blocks)
+    initial = partition_from_blocks(blocks)
 
     comp_members = dict(enumerate(sorted(block) for block in blocks))
     comp_of = {v: cid for cid, members in comp_members.items() for v in members}
@@ -149,7 +145,7 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
             comp_members[cid], comp_members[count] = (sorted(p) for p in parts)
             comp_of.update(dict.fromkeys(comp_members[count], count))
             count += 1
-            snapshot = scored([set(ms) for ms in comp_members.values()])
+            snapshot = partition_from_blocks(comp_members.values())
         steps.append(DivisionStep(removed_edge=edge, component_count=count, partition=snapshot))
         if count >= limit:  # no removal follows, so the parts' leaders are never read
             break
@@ -162,7 +158,7 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
 def best_partition(
     view: UndirectedView, trace: DivisionTrace, k_max: int
 ) -> tuple[Partition, ModularityCurve]:
-    """Highest-Q snapshot with k <= k_max; ties go to the smallest k."""
+    """Highest-Q snapshot with k <= k_max, ties to the smallest k; only those are scored."""
     all_snaps = trace.snapshots()
     snaps = [p for p in all_snaps if p.k <= k_max]
     if not snaps:
@@ -172,7 +168,7 @@ def best_partition(
                 f"more than k_max={k_max}"
             )
         raise AnalysisError("the trace has no partition snapshots (edgeless view)")
-    # snapshots come in ascending k and max keeps the first maximum, so ties go to the smaller k
-    best = max(snaps, key=lambda p: p.q)  # type: ignore[arg-type, return-value]
-    curve = ModularityCurve(points=tuple((p.k, p.q) for p in snaps))  # type: ignore[misc]
-    return best, curve
+    qs = [modularity(view, p) for p in snaps]
+    # snapshots come in ascending k and index finds the first maximum, so ties go to the smaller k
+    best = snaps[qs.index(max(qs))]
+    return best, ModularityCurve(points=tuple(zip([p.k for p in snaps], qs)))

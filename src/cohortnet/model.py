@@ -9,7 +9,7 @@ ties only).
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Mapping
+from collections.abc import Collection, Container, Iterable, Mapping
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -195,7 +195,6 @@ def _components(nodes: Iterable[int], adjacency: Mapping[int, Iterable[int]]) ->
 class _PartitionFields(NamedTuple):
     assignment: dict[int, int]
     k: int
-    q: float | None = None
 
 
 class Partition(_PartitionFields):
@@ -222,7 +221,7 @@ class Partition(_PartitionFields):
         return out
 
 
-def partition_from_blocks(blocks: list[set[int]]) -> Partition:
+def partition_from_blocks(blocks: Iterable[Collection[int]]) -> Partition:
     """Number blocks by ascending smallest member so ids are reproducible."""
     ordered = sorted(blocks, key=min)
     assignment = {node: cid for cid, block in enumerate(ordered) for node in block}

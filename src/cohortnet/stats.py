@@ -81,10 +81,12 @@ def _stdev(marks: Sequence[float]) -> float:
 
 
 def skewness(marks: Sequence[float]) -> float:
-    """Adjusted Fisher-Pearson g1 of the sample."""
+    """Adjusted Fisher-Pearson g1 of the sample; each entry passes the mark rule."""
     n = len(marks)
     if n < 3:
         raise AnalysisError(f"skewness needs at least 3 samples, got {n}")
+    for i, x in enumerate(marks):
+        _check_mark(x, f"mark list, entry {i}")
     mean = statistics.fmean(marks)
     s = _stdev(marks)
     if s == 0.0:

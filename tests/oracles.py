@@ -32,7 +32,6 @@ from cohortnet import (
     Role,
     SymmetrizeRule,
     cluster_performance,
-    modularity,
     partition_from_blocks,
     symmetrize,
 )
@@ -370,13 +369,9 @@ def girvan_newman_ref(view, *, stop_at_k=None, block_size=None):
     if not view.edges:
         return DivisionTrace(initial=None, steps=())
 
-    def scored(blocks: list[set[int]]) -> Partition:
-        p = partition_from_blocks(blocks)
-        return Partition(assignment=p.assignment, k=p.k, q=modularity(view, p))
-
     adjacency: dict[int, set[int]] = {v: set(view.adjacency[v]) for v in view.nodes}
     blocks = components_ref(view.nodes, adjacency)
-    initial = scored(blocks)
+    initial = partition_from_blocks(blocks)
 
     comp_members: dict[int, list[int]] = {}
     # per-component cache: (edge betweenness map, max value, tie-broken edge)
@@ -432,7 +427,7 @@ def girvan_newman_ref(view, *, stop_at_k=None, block_size=None):
             refresh(next_cid)
             next_cid += 1
             count += 1
-            snapshot = scored([set(ms) for ms in comp_members.values()])
+            snapshot = partition_from_blocks([set(ms) for ms in comp_members.values()])
         steps.append(DivisionStep(removed_edge=edge, component_count=count, partition=snapshot))
         if stop_at_k is not None and count >= stop_at_k:
             break
@@ -440,7 +435,10 @@ def girvan_newman_ref(view, *, stop_at_k=None, block_size=None):
 
 
 def best_partition_ref(view, trace, k_max=15):
-    """Highest-Q snapshot with k <= k_max; ties go to the smallest k."""
+    """Highest-Q snapshot with k <= k_max; ties go to the smallest k.
+
+    Q is the exact Fraction, compared exactly; the curve holds it rounded once.
+    """
     all_snaps = trace.snapshots()
     snaps = [p for p in all_snaps if p.k <= k_max]
     if not snaps:
@@ -450,13 +448,13 @@ def best_partition_ref(view, trace, k_max=15):
                 f"more than k_max={k_max}"
             )
         raise AnalysisError("the trace has no partition snapshots (edgeless view)")
-    best = snaps[0]
-    for p in snaps[1:]:  # snapshots come in ascending k, so strict > keeps ties small
-        assert p.q is not None and best.q is not None
-        if p.q > best.q:
-            best = p
-    curve = ModularityCurve(points=tuple((p.k, p.q) for p in snaps))  # type: ignore[misc]
-    return best, curve
+    exact = [modularity_brute(view.edges, p.assignment) for p in snaps]
+    best = 0
+    for i in range(1, len(snaps)):  # snapshots come in ascending k, so strict > keeps ties small
+        if exact[i] > exact[best]:
+            best = i
+    curve = ModularityCurve(points=tuple((p.k, float(q)) for p, q in zip(snaps, exact)))
+    return snaps[best], curve
 
 
 def parse_adjacency_ref(data):

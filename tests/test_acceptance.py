@@ -111,13 +111,13 @@ def test_criterion_3_planted_two_clique_recovery():
     detail = []
     for s in range(4, 9):
         view = two_cliques_view(s)
-        best, _ = best_partition(view, girvan_newman(view), k_max=15)
+        best, curve = best_partition(view, girvan_newman(view), k_max=15)
         recovered = best.clusters() == [set(range(s)), set(range(s, 2 * s))]
         ok &= recovered
         if s == 5:
-            q_ok = abs(best.q - 0.45238) < 1e-4
-            ok &= q_ok
-            detail.append(f"s=5 Q={best.q:.5f}")
+            q = dict(curve.points)[best.k]
+            ok &= abs(q - 0.45238) < 1e-4
+            detail.append(f"s=5 Q={q:.5f}")
         if not recovered:
             detail.append(f"s={s} not recovered")
     check(3, "two planted cliques (s=4..8) recovered exactly", ok, ", ".join(detail))
@@ -126,14 +126,15 @@ def test_criterion_3_planted_two_clique_recovery():
 def test_criterion_4_two_triangle_barbell():
     view = mkview([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
     trace = girvan_newman(view)
-    best, _ = best_partition(view, trace, k_max=15)
+    best, curve = best_partition(view, trace, k_max=15)
+    q = dict(curve.points)[best.k]
     ok = (
         trace.steps[0].removed_edge == (2, 3)
         and best.k == 2
-        and abs(best.q - 0.35714) < 1e-4
+        and abs(q - 0.35714) < 1e-4
     )
     check(4, "barbell: bridge removed first, best k=2",
-          ok, f"first={trace.steps[0].removed_edge}, k={best.k}, Q={best.q:.5f}")
+          ok, f"first={trace.steps[0].removed_edge}, k={best.k}, Q={q:.5f}")
 
 
 def test_criterion_5_closeness_refusal(tmp_path):

@@ -10,6 +10,7 @@ from cohortnet import (
     betweenness,
     closeness,
     degree,
+    edge_betweenness,
     eigenvector,
     rank_representatives,
     symmetrize,
@@ -17,7 +18,7 @@ from cohortnet import (
 )
 from cohortnet.errors import AnalysisError
 
-from conftest import mknet, symmetric_cases, symmetric_network
+from conftest import mknet, mkview, symmetric_cases, symmetric_network
 from oracles import node_betweenness_brute
 from strategies import directed_networks
 
@@ -205,3 +206,11 @@ class TestUsableCpus:
         monkeypatch.setattr(centrality, "CPU_MAX_PATH", str(path))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert centrality._usable_cpus() == expected
+
+    @pytest.mark.parametrize("n, probed", [(100, False), (200, True)])
+    def test_probed_only_when_two_blocks_can_fork(self, monkeypatch, n, probed):
+        # under two full blocks of 64 sources no fork can follow, so the CPUs go unasked
+        probes = []
+        monkeypatch.setattr(centrality, "_usable_cpus", lambda: probes.append(n) or 1)
+        edge_betweenness(mkview([(i, (i + 1) % n) for i in range(n)]))
+        assert probes == ([n] if probed else [])

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -182,22 +185,22 @@ class TestBestPartition:
         trace = girvan_newman(barbell_view)
         best, curve = best_partition(barbell_view, trace, k_max=15)
         assert best.k == 2
-        assert best.q == pytest.approx(5 / 14, abs=1e-4)
+        assert dict(curve.points)[2] == pytest.approx(5 / 14, abs=1e-4)
         assert best.clusters() == [{0, 1, 2}, {3, 4, 5}]
         ks = [k for k, _ in curve.points]
         assert ks == sorted(set(ks))
 
     def test_two_disjoint_triangles(self):
         view = mkview([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        best, _ = best_partition(view, girvan_newman(view), k_max=15)
+        best, curve = best_partition(view, girvan_newman(view), k_max=15)
         assert best.k == 2
-        assert best.q == pytest.approx(0.5)
+        assert dict(curve.points)[2] == pytest.approx(0.5)
 
     def test_single_triangle_keeps_trivial_partition(self):
         view = mkview([(0, 1), (1, 2), (0, 2)])
-        best, _ = best_partition(view, girvan_newman(view), k_max=15)
+        best, curve = best_partition(view, girvan_newman(view), k_max=15)
         assert best.k == 1
-        assert best.q == pytest.approx(0.0, abs=1e-15)
+        assert dict(curve.points)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_trace_refused(self):
         view = mkview([], nodes={1, 2})
@@ -216,6 +219,38 @@ class TestBestPartition:
         best, curve = best_partition(view, girvan_newman(view), k_max=8)
         assert dict(curve.points)[3] == dict(curve.points)[4]
         assert best.k == 3
+
+    def test_scores_only_the_snapshots_it_can_pick(self, monkeypatch):
+        # Q exists once: girvan_newman only divides, best_partition scores each k <= k_max once
+        real, scored = community.modularity, []
+
+        def counted(view, p):
+            scored.append(p.k)
+            return real(view, p)
+
+        monkeypatch.setattr(community, "modularity", counted)
+        view = two_cliques(5)
+        trace = girvan_newman(view)
+        assert scored == []
+        assert [p.k for p in trace.snapshots()] == list(range(1, 11))
+        _, curve = best_partition(view, trace, k_max=4)
+        assert scored == [1, 2, 3, 4]
+        assert curve.points == tuple((k, real(view, p)) for k, p in zip(scored, trace.snapshots()))
+
+    def test_partition_carries_no_q(self):
+        assert Partition._fields == ("assignment", "k")
+
+    def test_only_best_partition_calls_modularity(self):
+        callers = set()
+        for path in Path(community.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    callers.update(fn.name for node in ast.walk(fn)
+                                   if isinstance(node, ast.Call)
+                                   and getattr(node.func, "id", getattr(node.func, "attr", None))
+                                   == "modularity")
+        assert callers == {"best_partition"}
 
     @settings(max_examples=400, deadline=None)
     @given(undirected_views(max_nodes=12))

@@ -18,6 +18,7 @@ from cohortnet import (
 from cohortnet.cli import main
 from cohortnet.errors import DataError
 from cohortnet.io_formats import (
+    PALETTE,
     GraphFormat,
     export_adjacency,
     export_edges,
@@ -59,6 +60,33 @@ def dot_tokens(text):
 def dot_unquote(token):
     assert token[0] == token[-1] == '"'
     return re.sub(r"\\(.)", r"\1", token[1:-1], flags=re.DOTALL)
+
+
+def read_dot(text):
+    """Read back the DOT subset the exporter writes: ``digraph "label" {``, then
+    ``id [key=value, ...];`` node statements and ``src -> tgt;`` edge statements.
+
+    Returns the label, each node's attributes in file order, and the edges.
+    """
+    tokens = dot_tokens(text)
+    assert tokens[0] == "digraph" and tokens[2] == "{" and tokens[-1] == "}"
+    nodes, edges = {}, []
+    body, pos = tokens[3:-1], 0
+    while pos < len(body):
+        end = body.index(";", pos)
+        stmt, pos = body[pos:end], end + 1
+        if len(stmt) == 3 and stmt[1] == "->":
+            edges.append((int(stmt[0]), int(stmt[2])))
+            continue
+        attrs = {}
+        if len(stmt) > 1:  # [k1 = v1 , k2 = v2 ]: four tokens per attribute
+            assert stmt[1] == "[" and len(stmt) % 4 == 2
+            for key, eq, value, sep in zip(*[iter(stmt[2:])] * 4):
+                assert eq == "=" and sep in (",", "]")
+                attrs[key] = value
+        assert int(stmt[0]) not in nodes
+        nodes[int(stmt[0])] = attrs
+    return dot_unquote(tokens[1]), nodes, edges
 
 
 class TestRoster:
@@ -381,6 +409,33 @@ class TestGraphExport:
         assert got == (marks or {})
         got = {v: int(text) for (v, name), text in data.items() if name == "cluster"}
         assert got == (partition.assignment if partition else {})
+
+    @example((mknet([(1, 2)], label='a\\b"c'), {1: Gender.FEMALE}, {1: 5, 2: 0.1}, None))
+    @example((mknet([(2, 1)], label="\\"), {2: Gender.UNSPECIFIED}, None,
+              Partition(assignment={1: 0, 2: 1}, k=2)))
+    @given(graphml_exports())
+    def test_dot_round_trips(self, export):
+        net, genders, marks, partition = export
+        label, nodes, edges = read_dot(export_graph(
+            net, GraphFormat.DOT, genders=genders, marks=marks, partition=partition).decode())
+        assert label == net.label
+        assert list(nodes) == sorted(net.nodes)
+        assert len(edges) == len(net.edges) and set(edges) == net.edges
+        shapes = {Gender.MALE: "circle", Gender.FEMALE: "square", Gender.UNSPECIFIED: "ellipse"}
+        assert {v: a["shape"] for v, a in nodes.items() if "shape" in a} == {
+            v: shapes[g] for v, g in (genders or {}).items()}
+        for v, attrs in nodes.items():
+            if marks is None:
+                assert "width" not in attrs and "fixedsize" not in attrs
+            else:  # 0.2 + 0.8 * mark/100, to two places
+                assert float(attrs["width"]) == pytest.approx(0.2 + 0.8 * marks[v] / 100,
+                                                              abs=0.005 + 1e-12)
+                assert attrs["fixedsize"] == "true"
+            if partition is None:
+                assert "fillcolor" not in attrs and "style" not in attrs
+            else:
+                assert attrs["fillcolor"] == PALETTE[partition.assignment[v] % len(PALETTE)]
+                assert attrs["style"] == "filled"
 
     def test_dot_styling(self):
         net = mknet([], nodes={1})

@@ -10,7 +10,7 @@ import pytest
 from cohortnet import Student
 from cohortnet.cli import main
 from cohortnet.errors import DataError
-from cohortnet.stats import summarize
+from cohortnet.stats import skewness, summarize
 
 BAD_MARKS = [101, -1, True, "85", float("nan"), 10**400]
 BAD_IDS = ["over-100", "negative", "bool", "string", "nan", "over-float-range"]
@@ -62,4 +62,13 @@ def test_summarize_refused(mark):
     with pytest.raises(DataError) as caught:
         summarize([50.0, mark])
     assert str(caught.value).startswith("mark list, entry 1: ")
+    assert _refused_by_rule(str(caught.value))
+
+
+@pytest.mark.parametrize("mark", BAD_MARKS + [float("inf")], ids=BAD_IDS + ["inf"])
+def test_skewness_refused(mark):
+    # checked before the exact variance, which would raise ValueError on NaN, OverflowError on inf
+    with pytest.raises(DataError) as caught:
+        skewness([50.0, 60.0, mark])
+    assert str(caught.value).startswith("mark list, entry 2: ")
     assert _refused_by_rule(str(caught.value))

@@ -35,7 +35,7 @@ from cohortnet import (
 )
 from cohortnet.errors import DataError, UsageError
 
-PARTITION = {"assignment": {1: 0, 2: 1}, "k": 2, "q": 0.25}
+PARTITION = {"assignment": {1: 0, 2: 1}, "k": 2}
 NETWORK = {"label": "t", "nodes": frozenset({1, 2}), "edges": frozenset({(1, 2)})}
 SUMMARY = {
     "n": 3, "mean": 70.0, "median": 70.0, "minimum": 60.0, "maximum": 80.0,
@@ -55,7 +55,7 @@ RECORDS = {
     UndirectedView: (
         {"nodes": frozenset({1, 2}), "edges": frozenset({(1, 2)})}, "edges", frozenset(),
     ),
-    Partition: (PARTITION, "q", 0.5),
+    Partition: (PARTITION, "assignment", {1: 1, 2: 0}),
     Cohort: (
         {"network": FriendshipNetwork(**NETWORK), "students": (Student(id=1), Student(id=2))},
         "students", (Student(id=1),),
