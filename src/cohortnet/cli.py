@@ -74,8 +74,8 @@ def _build_parser() -> _Parser:
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--measure", choices=[m.value for m in Measure])
     what.add_argument("--communities", action="store_true")
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.DIRECTED.value,
-                   help="betweenness counting mode")
+    p.add_argument("--mode", choices=[m.value for m in Mode], default=None,
+                   help="betweenness counting mode (default: directed)")
     p.add_argument("--top", type=int, default=None,
                    help="also rank the top N representatives by directed betweenness")
     p.add_argument("--k-max", type=int, dest="k_max", default=None)
@@ -207,9 +207,16 @@ def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
 
 
 def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
-    if args.symmetrize is not None and not args.communities:
-        # each measure fixes its own view; a config file's symmetrize= is for the others
+    # a flag the chosen analysis would ignore; a config file's symmetrize= and k_max=
+    # are for the other commands
+    if args.symmetrize is not None and not args.communities:  # each measure fixes its view
         raise UsageError("--symmetrize needs --communities: no --measure reads it")
+    if args.k_max is not None and not args.communities:
+        raise UsageError("--k-max needs --communities: no --measure reads it")
+    if args.top is not None and args.communities:
+        raise UsageError("--top needs --measure: --communities ranks no representatives")
+    if args.mode is not None and args.measure != Measure.BETWEENNESS.value:
+        raise UsageError("--mode needs --measure betweenness: no other analysis reads it")
     cohort = _load_cohort(args.cohort)
     net = cohort.network
     out = cfg.out_dir
@@ -225,7 +232,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
 
     measure = Measure(args.measure)
     if measure is Measure.BETWEENNESS:
-        scores = betweenness(net, Mode(args.mode))
+        scores = betweenness(net, Mode(args.mode or Mode.DIRECTED))
     elif measure is Measure.CLOSENESS:
         scores = closeness(net)
     elif measure is Measure.EIGENVECTOR:

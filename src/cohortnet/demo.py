@@ -26,9 +26,7 @@ FEMALE_SHARE = 0.76
 SEMESTER = "s5"
 
 
-def generate_demo_cohort(
-    seed: int = DEFAULT_SEED, label: str = "demo"
-) -> tuple[Cohort, Partition]:
+def generate_demo_cohort(seed: int = DEFAULT_SEED) -> tuple[Cohort, Partition]:
     """Return the synthetic cohort and its planted community partition."""
     rng = random.Random(seed)
     communities: list[list[int]] = []
@@ -71,6 +69,6 @@ def generate_demo_cohort(
         a_comm, b_comm = rng.sample(range(n_comms), 2)
         edges.add((rng.choice(communities[a_comm]), rng.choice(communities[b_comm])))
 
-    cohort = make_cohort(students, sorted(edges), label)
+    cohort = make_cohort(students, sorted(edges), "demo")
     partition = Partition(assignment=planted, k=n_comms)
     return cohort, partition

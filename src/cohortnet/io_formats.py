@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
@@ -301,23 +300,7 @@ def _csv_matrix(text: str, roster: Collection[int] | None) -> tuple[list[int], l
     return ids, rows
 
 
-def export_adjacency(net: FriendshipNetwork) -> bytes:
-    ids = sorted(net.nodes)
-    rows = []
-    for src in ids:
-        out = net.out_adjacency[src]
-        rows.append([str(src)] + ["1" if tgt in out else "0" for tgt in ids])
-    return _csv([""] + [str(i) for i in ids], rows)
-
-
 # -- cohort container ---------------------------------------------------------
-
-def _json_num(x: object) -> str:
-    """A number as json.dumps writes it; repr is the same for an int or a finite float."""
-    if type(x) is int or type(x) is float and math.isfinite(x):
-        return repr(x)
-    return json.dumps(x)
-
 
 _JSON_GENDER = {g: json.dumps(g.value) for g in Gender}
 
@@ -331,19 +314,21 @@ def _json_block(items: Iterable[str], brackets: str, indent: str) -> str:
 
 def save_cohort(cohort: Cohort) -> bytes:
     """The bytes of json.dumps(doc, indent=2, sort_keys=True) plus a newline, built
-    directly: json's indent encoder is pure Python and took most of the write."""
+    directly: json's indent encoder is pure Python and took most of the write. Ids and
+    endpoints are ints and marks finite floats (Student, build_network), which repr
+    spells as json does."""
     students = sorted(cohort.students, key=lambda s: s.id)
     keys = {sem: json.dumps(sem) for s in students for sem in s.marks}
     rows = (
-        f'\n    {{\n      "gender": {_JSON_GENDER[s.gender]},\n      "id": {_json_num(s.id)},'
+        f'\n    {{\n      "gender": {_JSON_GENDER[s.gender]},\n      "id": {s.id!r},'
         '\n      "marks": ' + _json_block(
-            (f"\n        {keys[sem]}: {_json_num(s.marks[sem])}" for sem in sorted(s.marks)),
+            (f"\n        {keys[sem]}: {s.marks[sem]!r}" for sem in sorted(s.marks)),
             "{}", "      ",
         ) + "\n    }"
         for s in students
     )
     edges = (
-        f"\n    [\n      {_json_num(src)},\n      {_json_num(tgt)}\n    ]"
+        f"\n    [\n      {src!r},\n      {tgt!r}\n    ]"
         for src, tgt in sorted(cohort.network.edges)
     )
     return (

@@ -42,7 +42,6 @@ class DistributionSummary(NamedTuple):
     stddev: float | None  # absent when n < 2
     skew: float | None  # absent when n < 3 or the variance is zero
     shape: Shape | None
-    bin_width: float
     histogram: tuple[tuple[float, int], ...]  # (bin lower bound, count)
 
 
@@ -136,7 +135,6 @@ def summarize(marks: Sequence[float], bin_width: float = 5) -> DistributionSumma
         stddev=stddev,
         skew=g1,
         shape=shape,
-        bin_width=bin_width,
         histogram=_histogram(marks, bin_width),
     )
 

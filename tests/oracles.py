@@ -10,6 +10,7 @@ compare with ==, and the matrix-parser copy reads its table with the
 library's own CSV reader, so that only the cell checks differ. The GraphML
 copy is the xml.etree writer whose bytes the text writer reproduces, and the
 planner copy builds each group as a mutable draft before its PlanGroup record.
+``export_adjacency`` is the test-side matrix writer: no command writes a matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from cohortnet import (
     symmetrize,
 )
 from cohortnet.errors import AnalysisError, DataError
-from cohortnet.io_formats import _fields, _parse_id, _table
+from cohortnet.io_formats import _csv, _fields, _parse_id, _table
 
 
 def enumerate_geodesics(nodes, succ, s, t):
@@ -489,6 +490,16 @@ def parse_adjacency_ref(data):
                     raise DataError(f"diagonal entry for id {row_id} is 1", line=line)
                 edges.append((row_id, ids[col]))
     return edges
+
+
+def export_adjacency(net):
+    """The network as the square 0/1 matrix ``parse_adjacency`` reads, ids ascending."""
+    ids = sorted(net.nodes)
+    rows = []
+    for src in ids:
+        out = net.out_adjacency[src]
+        rows.append([str(src)] + ["1" if tgt in out else "0" for tgt in ids])
+    return _csv([""] + [str(i) for i in ids], rows)
 
 
 def save_cohort_ref(cohort):

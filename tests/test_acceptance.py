@@ -33,7 +33,6 @@ from cohortnet import (
 from cohortnet.cli import main
 from cohortnet.errors import AnalysisError
 from cohortnet.io_formats import (
-    export_adjacency,
     export_edges,
     export_roster,
     parse_adjacency,
@@ -44,6 +43,7 @@ from cohortnet.io_formats import (
 
 from conftest import mknet, mkview
 from oracles import (
+    export_adjacency,
     modularity_brute,
     node_betweenness_brute,
     random_directed_graph,

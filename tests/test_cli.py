@@ -746,6 +746,49 @@ class TestDemoAndConfig:
                      "--config", str(tmp_path / "run.cfg"),
                      "--out-dir", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("flags, text", [
+        (["--communities", "--top", "3"],
+         "--top needs --measure: --communities ranks no representatives"),
+        (["--communities", "--top", "3", "--mode", "undirected"],
+         "--top needs --measure: --communities ranks no representatives"),
+        (["--communities", "--mode", "directed"],
+         "--mode needs --measure betweenness: no other analysis reads it"),
+        (["--measure", "closeness", "--mode", "undirected"],
+         "--mode needs --measure betweenness: no other analysis reads it"),
+        (["--measure", "degree", "--top", "2", "--mode", "directed"],
+         "--mode needs --measure betweenness: no other analysis reads it"),
+        (["--measure", "betweenness", "--k-max", "4"],
+         "--k-max needs --communities: no --measure reads it"),
+        (["--measure", "closeness", "--mode", "undirected", "--k-max", "4"],
+         "--k-max needs --communities: no --measure reads it"),
+    ])
+    def test_flag_the_analysis_ignores_usage_error(self, tmp_path, capsys, flags, text):
+        out = tmp_path / "out"
+        assert main(["analyze", str(path_cohort(tmp_path)), *flags,
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {text}\n"
+        assert not out.exists()
+
+    def test_k_max_config_key_still_read_with_measure(self, tmp_path):
+        # classify and plan read the key, so a shared config file may set it
+        (tmp_path / "run.cfg").write_text("k_max=4\n")
+        assert main(["analyze", str(path_cohort(tmp_path)), "--measure", "closeness",
+                     "--config", str(tmp_path / "run.cfg"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+
+    def test_mode_defaults_to_directed(self, tmp_path):
+        # 1 -> 2 <- 3: node 2 lies on a path only when the ties are read undirected
+        cohort = write_cohort(tmp_path / "in.json", [Student(id=i) for i in (1, 2, 3)],
+                              [(1, 2), (3, 2)])
+        scores = {}
+        for mode in ("default", "directed", "undirected"):
+            flags = [] if mode == "default" else ["--mode", mode]
+            assert main(["analyze", str(cohort), "--measure", "betweenness", *flags,
+                         "--out-dir", str(tmp_path / mode)]) == 0
+            scores[mode] = (tmp_path / mode / "centrality_betweenness.csv").read_text()
+        assert scores["default"] == scores["directed"] == "node,score\n1,0.0\n2,0.0\n3,0.0\n"
+        assert scores["undirected"] == "node,score\n1,0.0\n2,1.0\n3,0.0\n"
+
     def test_bad_threshold_combo_usage_error(self, tmp_path):
         cohort = path_cohort(tmp_path)
         assert main(["plan", str(cohort), "--high-t", "50", "--low-t", "60",

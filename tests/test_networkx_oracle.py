@@ -14,6 +14,7 @@ from cohortnet import (
     closeness,
     edge_betweenness,
     generate_demo_cohort,
+    girvan_newman,
     modularity,
     partition_from_blocks,
     symmetrize,
@@ -82,3 +83,19 @@ def test_modularity(case):
     for p in (partition, partition_from_blocks([set(view.nodes)])):
         expected = nx.community.modularity(undirected, p.clusters())
         assert modularity(view, p) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_each_girvan_newman_removal_is_a_maximum(seed):
+    # networkx ranks the edges of the graph as it stands before each removal
+    view = symmetrize(generate_demo_cohort(seed)[0].network, SymmetrizeRule.UNION)
+    graph = nx.Graph(view.edges)
+    for step in girvan_newman(view, stop_at_k=15).steps:
+        eb = {(min(e), max(e)): x for e, x in
+              nx.edge_betweenness_centrality(graph, normalized=False).items()}
+        top, runner_up = sorted(eb.values(), reverse=True)[:2]
+        if top - runner_up > RTOL * top:
+            assert step.removed_edge == max(eb, key=eb.get)
+        else:  # a near-tie: which of the tied edges goes waits for ROADMAP item 1
+            assert eb[step.removed_edge] == pytest.approx(top, rel=RTOL)
+        graph.remove_edge(*step.removed_edge)

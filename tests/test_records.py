@@ -39,7 +39,7 @@ PARTITION = {"assignment": {1: 0, 2: 1}, "k": 2}
 NETWORK = {"label": "t", "nodes": frozenset({1, 2}), "edges": frozenset({(1, 2)})}
 SUMMARY = {
     "n": 3, "mean": 70.0, "median": 70.0, "minimum": 60.0, "maximum": 80.0,
-    "stddev": 10.0, "skew": 0.0, "shape": Shape.APPROX_SYMMETRIC, "bin_width": 5,
+    "stddev": 10.0, "skew": 0.0, "shape": Shape.APPROX_SYMMETRIC,
     "histogram": ((60.0, 1), (70.0, 1), (80.0, 1)),
 }
 PLAN_GROUP = {

@@ -176,16 +176,17 @@ def test_modularity_is_the_rounded_rational(view, data):
 
 @pytest.fixture(scope="module")
 def planted400():
-    """The seed-400 planted graph, its union view and their betweenness
-    references, computed once for the n=400 tests that share them."""
+    """The seed-400 planted graph, its union view, their betweenness references
+    and the reference division to k=15, computed once for the n=400 tests."""
     nodes, edges = planted_community_edges(seed=400)
     net = mknet(edges, nodes)
     view = symmetrize(net, SymmetrizeRule.UNION)
-    return net, view, _betweenness_refs(net), _edge_betweenness_refs(view)
+    division = girvan_newman_ref(view, stop_at_k=15, block_size=centrality.FORK_MIN_BLOCK)
+    return net, view, _betweenness_refs(net), _edge_betweenness_refs(view), division
 
 
 def test_planted_communities_n400_match_reference(planted400):
-    net, view, node_refs, edge_refs = planted400
+    net, view, node_refs, edge_refs, _ = planted400
     assert len(view.components()) == 1
     _assert_betweenness_exact(net, node_refs)
     _assert_edge_betweenness_exact(view, edge_refs)
@@ -203,10 +204,12 @@ def _selection(view, trace, k_max, select):
         return str(exc)
 
 
-def _assert_division_exact(view, stop_at_k=None):
+def _assert_division_exact(view, stop_at_k=None, ref=None):
+    """``ref``, when given, is the reference trace to ``stop_at_k``, computed once."""
+    if ref is None:
+        ref = girvan_newman_ref(view, stop_at_k=stop_at_k, block_size=centrality.FORK_MIN_BLOCK)
     trace = girvan_newman(view, stop_at_k=stop_at_k)
-    assert trace == girvan_newman_ref(view, stop_at_k=stop_at_k,
-                                      block_size=centrality.FORK_MIN_BLOCK)
+    assert trace == ref
     for k_max in range(1, min(len(view.nodes), 16) + 2):
         expected = _selection(view, trace, k_max, best_partition_ref)
         assert _selection(view, trace, k_max, best_partition) == expected
@@ -248,10 +251,15 @@ def test_division_loop_matches_reference(view):
     _assert_division_exact(view)
 
 
-def test_division_loop_planted_n400_matches_reference():
-    nodes, edges = planted_community_edges(seed=401)
-    view = symmetrize(mknet(edges, nodes), SymmetrizeRule.UNION)
-    _assert_division_exact(view, stop_at_k=15)
+def _trace_to(trace, k):
+    """The trace's steps up to the first that leaves ``k`` components: the trace to k."""
+    end = next(i for i, step in enumerate(trace.steps) if step.component_count == k)
+    return trace._replace(steps=trace.steps[:end + 1])
+
+
+def test_division_loop_planted_n400_matches_reference(planted400):
+    _, view, _, _, division = planted400
+    _assert_division_exact(view, stop_at_k=15, ref=division)
 
 
 # -- forked sources --------------------------------------------------------------
@@ -370,17 +378,17 @@ def test_blocks_hold_at_least_min_block_sources(cpus, n_sources, n_forks):
 
 def test_planted_n400_on_one_cpu_matches_reference(planted400):
     # the serial path on a graph large enough to fork where CPUs allow
-    net, view, node_refs, edge_refs = planted400
+    net, view, node_refs, edge_refs, division = planted400
     with forking(1, fork=_refuse_fork, min_block=centrality.FORK_MIN_BLOCK):
         _assert_betweenness_exact(net, node_refs)
         _assert_edge_betweenness_exact(view, edge_refs)
-        _assert_division_exact(view, stop_at_k=3)
+        _assert_division_exact(view, stop_at_k=3, ref=_trace_to(division, 3))
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 5])
 def test_planted_n400_matches_reference_on_any_cpu_count(planted400, cpus):
     # the same blocks however many workers share them, so the sums of one CPU
-    net, view, node_refs, edge_refs = planted400
+    net, view, node_refs, edge_refs, _ = planted400
     with forking(cpus, min_block=centrality.FORK_MIN_BLOCK) as forks:
         _assert_betweenness_exact(net, node_refs)
         _assert_edge_betweenness_exact(view, edge_refs)
