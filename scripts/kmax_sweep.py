@@ -37,7 +37,7 @@ def main() -> None:
             except AnalysisError as exc:
                 print(f"  k_max={k_max:3d}  ->  refused: {exc}")
                 continue
-            print(f"  k_max={k_max:3d}  ->  k={best.k:3d}, Q={dict(curve.points)[best.k]:.4f}")
+            print(f"  k_max={k_max:3d}  ->  k={best.k:3d}, Q={curve[best.k]:.4f}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ _EXPORTS = {
         "rank_representatives",
     ),
     "community": (
-        "DivisionStep", "DivisionTrace", "ModularityCurve", "best_partition",
+        "DivisionStep", "DivisionTrace", "best_partition",
         "edge_betweenness", "girvan_newman", "modularity",
     ),
     "config": ("RunConfig",),

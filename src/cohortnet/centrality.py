@@ -28,13 +28,7 @@ from functools import reduce
 from typing import NamedTuple, TypeVar
 
 from .errors import AnalysisError
-from .model import (
-    FriendshipNetwork,
-    Measure,
-    Mode,
-    SymmetrizeRule,
-    symmetrize,
-)
+from .model import FriendshipNetwork, Mode, SymmetrizeRule, symmetrize
 
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_CAP = 1000
@@ -51,11 +45,9 @@ DIRECTED_INPUT_WARNING = (
 
 
 class CentralityScores(NamedTuple):
-    measure: Measure
-    mode: Mode
     scores: dict[int, float]
     warnings: tuple[str, ...] = ()
-    # populated for Measure.DEGREE only
+    # populated by degree only
     in_scores: dict[int, float] | None = None
     out_scores: dict[int, float] | None = None
 
@@ -217,11 +209,7 @@ def betweenness(net: FriendshipNetwork, mode: Mode = Mode.DIRECTED) -> Centralit
         nbrs = _index_adjacency(order, symmetrize(net, SymmetrizeRule.UNION).adjacency)
         # summing over all sources counts each unordered pair twice
         raw = [x / 2.0 for x in _brandes(order, nbrs)]
-    return CentralityScores(
-        measure=Measure.BETWEENNESS,
-        mode=mode,
-        scores={v: raw[i] for i, v in enumerate(order)},
-    )
+    return CentralityScores(scores={v: raw[i] for i, v in enumerate(order)})
 
 
 def closeness(net: FriendshipNetwork) -> CentralityScores:
@@ -252,7 +240,7 @@ def closeness(net: FriendshipNetwork) -> CentralityScores:
             "connected network"
         )
     scores = {v: (n - 1) / total if total else 0.0 for v, total in zip(order, totals)}
-    return CentralityScores(measure=Measure.CLOSENESS, mode=Mode.UNDIRECTED, scores=scores)
+    return CentralityScores(scores=scores)
 
 
 def eigenvector(net: FriendshipNetwork) -> CentralityScores:
@@ -291,12 +279,7 @@ def eigenvector(net: FriendshipNetwork) -> CentralityScores:
         raise AnalysisError(
             f"power iteration did not converge within {POWER_ITERATION_CAP} iterations"
         )
-    return CentralityScores(
-        measure=Measure.EIGENVECTOR,
-        mode=Mode.UNDIRECTED,
-        scores={v: x[i] for i, v in enumerate(order)},
-        warnings=warnings,
-    )
+    return CentralityScores(scores={v: x[i] for i, v in enumerate(order)}, warnings=warnings)
 
 
 def degree(net: FriendshipNetwork) -> CentralityScores:
@@ -306,13 +289,7 @@ def degree(net: FriendshipNetwork) -> CentralityScores:
         ins[tgt] += 1.0
     outs = {v: float(len(net.out_adjacency[v])) for v in net.nodes}
     total = {v: ins[v] + outs[v] for v in net.nodes}
-    return CentralityScores(
-        measure=Measure.DEGREE,
-        mode=Mode.DIRECTED,
-        scores=total,
-        in_scores=ins,
-        out_scores=outs,
-    )
+    return CentralityScores(scores=total, in_scores=ins, out_scores=outs)
 
 
 def top_k(scores: Mapping[_Key, float], k: int) -> list[_Key]:

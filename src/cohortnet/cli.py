@@ -23,8 +23,6 @@ if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
     from logging import Logger
 
-    from .community import ModularityCurve
-
 # Each command imports the analysis modules it runs inside its own function,
 # so a process pays only for the code its command needs.
 
@@ -159,7 +157,7 @@ def _resolve_semester(cohort: Cohort, flag: str | None) -> str:
     )
 
 
-def _communities(cohort: Cohort, cfg: RunConfig) -> tuple[Partition, ModularityCurve]:
+def _communities(cohort: Cohort, cfg: RunConfig) -> tuple[Partition, dict[int, float]]:
     """Girvan-Newman on the configured view; the partition with the best Q."""
     from .community import best_partition, girvan_newman
 
@@ -222,7 +220,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     out = cfg.out_dir
     if args.communities:
         best, curve = _communities(cohort, cfg)
-        return (f"best partition: k={best.k}, Q={dict(curve.points)[best.k]:.4f} "
+        return (f"best partition: k={best.k}, Q={curve[best.k]:.4f} "
                 f"(wrote {out / 'modularity_curve.csv'}, {out / 'partition.csv'})\n"), {
             out / "modularity_curve.csv": iof.curve_csv(curve),
             out / "partition.csv": iof.partition_csv(best),
@@ -231,8 +229,9 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     from .centrality import betweenness, closeness, degree, eigenvector, top_k
 
     measure = Measure(args.measure)
+    mode = Mode(args.mode or Mode.DIRECTED)
     if measure is Measure.BETWEENNESS:
-        scores = betweenness(net, Mode(args.mode or Mode.DIRECTED))
+        scores = betweenness(net, mode)
     elif measure is Measure.CLOSENESS:
         scores = closeness(net)
     elif measure is Measure.EIGENVECTOR:
@@ -243,7 +242,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
         _log().warning("%s", warning)
     files: Files = {out / f"centrality_{measure.value}.csv": iof.scores_csv(scores)}
     if args.top is not None:
-        if scores.measure is Measure.BETWEENNESS and scores.mode is Mode.DIRECTED:
+        if measure is Measure.BETWEENNESS and mode is Mode.DIRECTED:
             directed = scores.scores
         else:
             directed = betweenness(net, Mode.DIRECTED).scores

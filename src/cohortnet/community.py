@@ -37,10 +37,6 @@ class DivisionTrace(NamedTuple):
         return snaps
 
 
-class ModularityCurve(NamedTuple):
-    points: tuple[tuple[int, float], ...]  # (k, Q), k strictly increasing
-
-
 def edge_betweenness(view: UndirectedView) -> dict[tuple[int, int], float]:
     """Geodesic betweenness per edge, each unordered node pair counted once."""
     return _edge_betweenness_subset(sorted(view.nodes), view.adjacency)
@@ -157,8 +153,11 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
 
 def best_partition(
     view: UndirectedView, trace: DivisionTrace, k_max: int
-) -> tuple[Partition, ModularityCurve]:
-    """Highest-Q snapshot with k <= k_max, ties to the smallest k; only those are scored."""
+) -> tuple[Partition, dict[int, float]]:
+    """Highest-Q snapshot with k <= k_max, ties to the smallest k; only those are scored.
+
+    Returns it and the curve ``{k: Q}`` of the scored snapshots, in ascending k.
+    """
     all_snaps = trace.snapshots()
     snaps = [p for p in all_snaps if p.k <= k_max]
     if not snaps:
@@ -171,4 +170,4 @@ def best_partition(
     qs = [modularity(view, p) for p in snaps]
     # snapshots come in ascending k and index finds the first maximum, so ties go to the smaller k
     best = snaps[qs.index(max(qs))]
-    return best, ModularityCurve(points=tuple(zip([p.k for p in snaps], qs)))
+    return best, {p.k: q for p, q in zip(snaps, qs)}

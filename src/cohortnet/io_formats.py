@@ -23,7 +23,6 @@ from .model import Cohort, FriendshipNetwork, Gender, Partition, Student, _check
 
 if TYPE_CHECKING:
     from .centrality import CentralityScores
-    from .community import ModularityCurve
     from .intervention import AssignmentPlan, GroupProfile
     from .stats import DistributionSummary, GroupComparison
 
@@ -528,8 +527,8 @@ def parse_partition_csv(data: bytes | str) -> Partition:
     return Partition(assignment={v: dense[c] for v, c in raw.items()}, k=len(dense))
 
 
-def curve_csv(curve: ModularityCurve) -> bytes:
-    return _csv(["k", "Q"], ([str(k), _num(q)] for k, q in curve.points))
+def curve_csv(curve: Mapping[int, float]) -> bytes:
+    return _csv(["k", "Q"], ([str(k), _num(q)] for k, q in curve.items()))
 
 
 def clusters_csv(perfs: Iterable) -> bytes:

@@ -116,9 +116,11 @@ class Student(_StudentFields):
         marks = {} if marks is None else marks
         if not isinstance(marks, dict):
             raise DataError(f"student {id}: marks {marks!r} is not an object")
-        for s in marks:  # save_cohort and export_roster write only string labels
+        for s in marks:  # labels that export_roster can write as a mark_<semester> header
             if not isinstance(s, str):
                 raise DataError(f"student {id}: semester {s!r} is not a string")
+            if not s or any("\ud800" <= c <= "\udfff" for c in s):  # a lone surrogate
+                raise DataError(f"student {id}: semester {s!r} is empty or not UTF-8 text")
         # stored as floats, so a cohort file reads back as the bytes it was saved as
         return super().__new__(cls, id, gender, {
             s: _check_mark(m, f"student {id}, semester {s!r}") for s, m in marks.items()})

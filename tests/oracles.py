@@ -26,7 +26,6 @@ from cohortnet import (
     AssignmentPlan,
     DivisionStep,
     DivisionTrace,
-    ModularityCurve,
     Partition,
     PerfClass,
     PlanGroup,
@@ -454,8 +453,7 @@ def best_partition_ref(view, trace, k_max=15):
     for i in range(1, len(snaps)):  # snapshots come in ascending k, so strict > keeps ties small
         if exact[i] > exact[best]:
             best = i
-    curve = ModularityCurve(points=tuple((p.k, float(q)) for p, q in zip(snaps, exact)))
-    return snaps[best], curve
+    return snaps[best], {p.k: float(q) for p, q in zip(snaps, exact)}
 
 
 def parse_adjacency_ref(data):

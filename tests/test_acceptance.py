@@ -115,7 +115,7 @@ def test_criterion_3_planted_two_clique_recovery():
         recovered = best.clusters() == [set(range(s)), set(range(s, 2 * s))]
         ok &= recovered
         if s == 5:
-            q = dict(curve.points)[best.k]
+            q = curve[best.k]
             ok &= abs(q - 0.45238) < 1e-4
             detail.append(f"s=5 Q={q:.5f}")
         if not recovered:
@@ -127,7 +127,7 @@ def test_criterion_4_two_triangle_barbell():
     view = mkview([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
     trace = girvan_newman(view)
     best, curve = best_partition(view, trace, k_max=15)
-    q = dict(curve.points)[best.k]
+    q = curve[best.k]
     ok = (
         trace.steps[0].removed_edge == (2, 3)
         and best.k == 2

@@ -36,6 +36,20 @@ def two_component_cohort(tmp_path):
     return write_cohort(tmp_path / "two.json", students, [(1, 2), (3, 4)])
 
 
+def plan_inputs(tmp_path):
+    students = [
+        Student(id=i, marks={"s5": m})
+        for i, m in zip(range(1, 9), (80, 82, 78, 75, 77, 79, 50, 52))
+    ]
+    edges = [(1, 2), (2, 1), (4, 5), (5, 4), (7, 8), (8, 7), (3, 7)]
+    cohort = write_cohort(tmp_path / "c.json", students, edges)
+    partition = tmp_path / "p.csv"
+    partition.write_text(
+        "node,cluster\n1,0\n2,0\n3,0\n4,1\n5,1\n6,1\n7,2\n8,2\n"
+    )
+    return cohort, partition
+
+
 def barbell_cohort(tmp_path):
     students = [Student(id=i, marks={"s5": 70.0}) for i in range(6)]
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
@@ -374,6 +388,18 @@ class TestInputHardening:
         assert f"{fmt} cannot carry" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["\\udcff", ""], ids=["surrogate", "empty"])
+    def test_unwritable_semester_refused(self, tmp_path, capsys, key):
+        # no roster header mark_<semester> holds it, and a report naming it is not UTF-8
+        cohort, partition = plan_inputs(tmp_path)
+        cohort.write_text(cohort.read_text().replace('"s5"', f'"{key}"'))
+        out = tmp_path / "out"
+        assert main(["plan", str(cohort), "--partition", str(partition), "--max-group", "6",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: student 1: semester '{key}' is empty or not UTF-8 text\n")
+        assert not out.exists()
+
     def test_non_utf8_cohort_exit_2(self, tmp_path):
         (tmp_path / "c.json").write_bytes(b'{"label": "\xff"}')
         assert main(["analyze", str(tmp_path / "c.json"), "--measure", "degree",
@@ -545,6 +571,31 @@ class TestAnalyze:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, passes", [
+        (["--measure", "betweenness"], 1),
+        (["--measure", "betweenness", "--mode", "directed"], 1),
+        (["--measure", "betweenness", "--mode", "undirected"], 2),
+        (["--measure", "degree"], 1),
+        (["--measure", "closeness"], 1),
+        (["--measure", "eigenvector"], 1),
+    ], ids=["betweenness", "directed", "undirected", "degree", "closeness", "eigenvector"])
+    def test_top_reuses_only_directed_betweenness(self, tmp_path, monkeypatch, flags, passes):
+        # --top ranks by directed betweenness: one Brandes pass, shared when --measure ran it
+        from cohortnet import centrality
+
+        assert main(["demo", "--out-dir", str(tmp_path)]) == 0
+        real, calls = centrality._brandes, []
+
+        def counted(order, nbrs):
+            calls.append(len(order))
+            return real(order, nbrs)
+
+        monkeypatch.setattr(centrality, "_brandes", counted)
+        assert main(["analyze", str(tmp_path / "cohort.json"), *flags, "--top", "3",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == [100] * passes
+        assert (tmp_path / "out" / "representatives.csv").read_text().count("\n") == 4
+
     def test_byte_identical_reruns(self, tmp_path):
         cohort = barbell_cohort(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -556,21 +607,8 @@ class TestAnalyze:
 
 
 class TestClassifyAndPlan:
-    def plan_inputs(self, tmp_path):
-        students = [
-            Student(id=i, marks={"s5": m})
-            for i, m in zip(range(1, 9), (80, 82, 78, 75, 77, 79, 50, 52))
-        ]
-        edges = [(1, 2), (2, 1), (4, 5), (5, 4), (7, 8), (8, 7), (3, 7)]
-        cohort = write_cohort(tmp_path / "c.json", students, edges)
-        partition = tmp_path / "p.csv"
-        partition.write_text(
-            "node,cluster\n1,0\n2,0\n3,0\n4,1\n5,1\n6,1\n7,2\n8,2\n"
-        )
-        return cohort, partition
-
     def test_classify(self, tmp_path):
-        cohort, partition = self.plan_inputs(tmp_path)
+        cohort, partition = plan_inputs(tmp_path)
         out = tmp_path / "out"
         code = main(["classify", str(cohort), "--partition", str(partition),
                      "--out-dir", str(out)])
@@ -580,7 +618,7 @@ class TestClassifyAndPlan:
         assert rows[1].endswith("high") and rows[3].endswith("low")
 
     def test_plan_matches_hand_trace(self, tmp_path):
-        cohort, partition = self.plan_inputs(tmp_path)
+        cohort, partition = plan_inputs(tmp_path)
         out = tmp_path / "out"
         code = main(["plan", str(cohort), "--partition", str(partition),
                      "--max-group", "6", "--out-dir", str(out)])
@@ -596,7 +634,7 @@ class TestClassifyAndPlan:
         assert "2 groups" in report and "dispersed: 7 8" in report
 
     def test_keep_low_subgroups_from_config_file(self, tmp_path):
-        cohort, partition = self.plan_inputs(tmp_path)
+        cohort, partition = plan_inputs(tmp_path)
         cfg = tmp_path / "run.cfg"
         # as singletons, 7 goes to group 0, then 8 to group 1, now the smaller one
         singletons, pair = ["7,0,dispersed", "8,1,dispersed"], ["7,0,dispersed", "8,0,dispersed"]

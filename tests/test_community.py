@@ -185,22 +185,21 @@ class TestBestPartition:
         trace = girvan_newman(barbell_view)
         best, curve = best_partition(barbell_view, trace, k_max=15)
         assert best.k == 2
-        assert dict(curve.points)[2] == pytest.approx(5 / 14, abs=1e-4)
+        assert curve[2] == pytest.approx(5 / 14, abs=1e-4)
         assert best.clusters() == [{0, 1, 2}, {3, 4, 5}]
-        ks = [k for k, _ in curve.points]
-        assert ks == sorted(set(ks))
+        assert list(curve) == sorted(curve)
 
     def test_two_disjoint_triangles(self):
         view = mkview([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         best, curve = best_partition(view, girvan_newman(view), k_max=15)
         assert best.k == 2
-        assert dict(curve.points)[2] == pytest.approx(0.5)
+        assert curve[2] == pytest.approx(0.5)
 
     def test_single_triangle_keeps_trivial_partition(self):
         view = mkview([(0, 1), (1, 2), (0, 2)])
         best, curve = best_partition(view, girvan_newman(view), k_max=15)
         assert best.k == 1
-        assert dict(curve.points)[1] == pytest.approx(0.0, abs=1e-15)
+        assert curve[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_trace_refused(self):
         view = mkview([], nodes={1, 2})
@@ -217,7 +216,7 @@ class TestBestPartition:
         # k=3 and k=4 both have Q = 23/72; a float sum cluster by cluster put k=4 an ulp higher
         view = mkview([(0, 2), (0, 5), (0, 7), (1, 3), (2, 3), (2, 6)], nodes={4})
         best, curve = best_partition(view, girvan_newman(view), k_max=8)
-        assert dict(curve.points)[3] == dict(curve.points)[4]
+        assert curve[3] == curve[4]
         assert best.k == 3
 
     def test_scores_only_the_snapshots_it_can_pick(self, monkeypatch):
@@ -235,7 +234,7 @@ class TestBestPartition:
         assert [p.k for p in trace.snapshots()] == list(range(1, 11))
         _, curve = best_partition(view, trace, k_max=4)
         assert scored == [1, 2, 3, 4]
-        assert curve.points == tuple((k, real(view, p)) for k, p in zip(scored, trace.snapshots()))
+        assert list(curve.items()) == [(p.k, real(view, p)) for p in trace.snapshots()[:4]]
 
     def test_partition_carries_no_q(self):
         assert Partition._fields == ("assignment", "k")

@@ -195,9 +195,9 @@ def test_benchmark_replay_names_resolve():
 
 
 def test_submodule_import_through_package():
-    from cohortnet import Measure, centrality
+    from cohortnet import Mode, centrality
 
-    assert centrality.Measure is Measure
+    assert centrality.Mode is Mode
 
 
 def test_unknown_attribute_raises():

@@ -673,22 +673,11 @@ def _roster_file(students):
     return buf.getvalue().encode("utf-8")
 
 
-def _roster_label(semester):
-    """A semester label a roster file can hold: not empty (the header "mark_" is
-    refused) and no lone surrogate (not UTF-8)."""
-    try:
-        semester.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return semester != ""
-
-
 # format -> (valid files, parser, writer of the parsed value, the value compared); the
 # valid files come from test-side writers where there are any, so that a writer that
 # loses what its parser read fails here
 FIXED_POINT = {
-    "roster": (cohorts().filter(lambda c: all(map(_roster_label, c.semesters())))
-               .map(lambda c: _roster_file(c.students)),
+    "roster": (cohorts().map(lambda c: _roster_file(c.students)),
                parse_roster, export_roster, _by_id),
     "edges": (directed_networks().map(export_edges),
               parse_edges, _write_ties(export_edges), frozenset),

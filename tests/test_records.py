@@ -20,9 +20,6 @@ from cohortnet import (
     GroupComparison,
     GroupProfile,
     InterventionPolicy,
-    Measure,
-    Mode,
-    ModularityCurve,
     Partition,
     PerfClass,
     PlanGroup,
@@ -67,8 +64,7 @@ RECORDS = {
         "k_max", 11,
     ),
     CentralityScores: (
-        {"measure": Measure.DEGREE, "mode": Mode.DIRECTED, "scores": {1: 2.0},
-         "in_scores": {1: 1.0}, "out_scores": {1: 1.0}},
+        {"scores": {1: 2.0}, "in_scores": {1: 1.0}, "out_scores": {1: 1.0}},
         "scores", {1: 3.0},
     ),
     DivisionStep: (
@@ -80,7 +76,6 @@ RECORDS = {
          "steps": (DivisionStep(removed_edge=(1, 2), component_count=2, partition=None),)},
         "steps", (),
     ),
-    ModularityCurve: ({"points": ((1, 0.0), (2, 0.25))}, "points", ((1, 0.0),)),
     DistributionSummary: (SUMMARY, "mean", 71.0),
     ClusterPerformance: (
         {"cluster": 0, "members": (1, 2), "mean_mark": 75.0, "perf": PerfClass.HIGH},
@@ -140,6 +135,10 @@ def test_fields_cannot_be_reassigned(cls):
     (lambda: Student(id=1, marks=[("s5", 80.0)]), DataError,
      "student 1: marks [('s5', 80.0)] is not an object"),
     (lambda: Student(id=1, marks={5: 80.0}), DataError, "student 1: semester 5 is not a string"),
+    (lambda: Student(id=1, marks={"": 80.0}), DataError,
+     "student 1: semester '' is empty or not UTF-8 text"),
+    (lambda: Student(id=1, marks={"s\udcff": 80.0}), DataError,
+     "student 1: semester 's\\udcff' is empty or not UTF-8 text"),
     (lambda: Partition(assignment={}, k=0), DataError, "a partition needs at least one node"),
     (lambda: Partition(assignment={1: 0, 2: 2}, k=2), DataError,
      "cluster ids must be exactly 0..1, got [0, 2]"),
@@ -156,6 +155,7 @@ def test_fields_cannot_be_reassigned(cls):
 ], ids=[
     "student-id", "student-mark", "student-bool-id", "student-bool-mark",
     "student-float-id", "student-str-id", "student-marks-not-a-dict", "student-int-semester",
+    "student-empty-semester", "student-surrogate-semester",
     "partition-empty", "partition-not-dense",
     "config-thresholds", "config-k-max", "config-bin-width", "config-group-size",
     "policy-thresholds", "policy-group-size",
@@ -195,8 +195,8 @@ def test_defaults_are_not_shared():
     first = Student(id=1)
     first.marks["s5"] = 50.0
     assert Student(id=2).marks == {}
-    scores = CentralityScores(measure=Measure.DEGREE, mode=Mode.DIRECTED, scores={})
+    scores = CentralityScores(scores={})
     with contextlib.suppress(AttributeError):  # an immutable default cannot be changed
         scores.warnings.append("w")
-    again = CentralityScores(measure=Measure.DEGREE, mode=Mode.DIRECTED, scores={})
+    again = CentralityScores(scores={})
     assert len(again.warnings) == 0

@@ -199,9 +199,10 @@ def test_planted_communities_n400_match_reference(planted400):
 
 def _selection(view, trace, k_max, select):
     try:
-        return select(view, trace, k_max)
+        best, curve = select(view, trace, k_max)
     except AnalysisError as exc:
         return str(exc)
+    return best, list(curve.items())  # the curve's k order is compared too
 
 
 def _assert_division_exact(view, stop_at_k=None, ref=None):
