@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import mmap
 import operator
 import os
 import signal
@@ -123,14 +124,12 @@ def _fold_sources(
     ``add_sources(lo, hi, acc)`` adds sources lo .. hi-1 in order into ``acc``.
     Each block's sum starts at 0.0 and the block sums are added in order, so
     the result does not depend on which process sums which block. With more
-    than one usable CPU, ``os.memfd_create``, no other thread alive and two
-    full blocks, each worker sums a contiguous run of blocks: forked children
-    write block b's sum at byte 8 * width * b of one in-memory file, and the
-    parent sums the first run, then folds the rest in order, recomputing a
-    failed child's blocks.
+    than one usable CPU, no other thread alive and two full blocks, each worker
+    sums a contiguous run of blocks: forked children write block b's sum into
+    row b of one shared anonymous mapping, and the parent sums the first run,
+    then folds the rest in order, recomputing a failed child's blocks.
     """
     n_blocks = -(-n_sources // FORK_MIN_BLOCK)
-    row_bytes = 8 * width
 
     def block_sum(b: int) -> list[float]:
         acc = [0.0] * width
@@ -139,15 +138,15 @@ def _fold_sources(
 
     total = [0.0] * width
     workers = 1
-    if (n_sources >= 2 * FORK_MIN_BLOCK and width and hasattr(os, "memfd_create")
-            and threading.active_count() == 1):  # probe the CPUs only when a fork can follow
+    # probe the CPUs only when a fork can follow
+    if n_sources >= 2 * FORK_MIN_BLOCK and width and threading.active_count() == 1:
         workers = min(_usable_cpus(), n_sources // FORK_MIN_BLOCK)
-    fd = -1
     live: set[int] = set()  # children not yet reaped
     try:
-        try:
-            fd = os.memfd_create("cohortnet-blocks") if workers > 1 else -1
-        except OSError:  # no in-memory file (EMFILE, ENOMEM): stay on one CPU
+        try:  # an anonymous mapping is shared: the parent reads what a child writes
+            if workers > 1:
+                rows = memoryview(mmap.mmap(-1, 8 * width * n_blocks)).cast("d")
+        except OSError:  # no mapping (ENOMEM): stay on one CPU
             workers = 1
         bounds = [n_blocks * k // workers for k in range(workers + 1)]
         runs = [(0, bounds[0], bounds[1])]  # (pid, first block, end block); pid 0: no child
@@ -157,28 +156,25 @@ def _fold_sources(
             except OSError:  # no child: the parent computes these blocks as well
                 runs.append((0, lo, hi))
                 continue
-            if pid == 0:  # exit 1 at the first short write, 0 once every block is written
+            if pid == 0:  # exit 0 once every block's row is written
                 try:
-                    os._exit(any(os.pwrite(fd, array("d", block_sum(b)), row_bytes * b)
-                                 != row_bytes for b in range(lo, hi)))
-                finally:  # add_sources or pwrite raised
+                    for b in range(lo, hi):
+                        rows[width * b:width * (b + 1)] = array("d", block_sum(b))
+                    os._exit(0)
+                finally:  # add_sources raised
                     os._exit(1)
             live.add(pid)
             runs.append((pid, lo, hi))
-        row = array("d", bytes(row_bytes))
         for pid, lo, hi in runs:
             delivered = pid in live and os.waitpid(pid, 0)[1] == 0
             live.discard(pid)
             for b in range(lo, hi):  # the parent's blocks, or those of a failed child
-                if delivered:
-                    os.preadv(fd, [row], row_bytes * b)
-                total = list(map(operator.add, total, row if delivered else block_sum(b)))
-    finally:  # interrupted or failed: leave no child and no file behind
+                row = rows[width * b:width * (b + 1)] if delivered else block_sum(b)
+                total = list(map(operator.add, total, row))
+    finally:  # interrupted or failed: leave no child behind
         for pid in live:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if fd >= 0:
-            os.close(fd)
     return total
 
 

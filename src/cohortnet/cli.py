@@ -193,13 +193,26 @@ def _drop_repeats(ties: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
 
 def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
     roster = iof.parse_roster(args.roster.read_bytes())
-    if args.edges is not None:
-        nominations = iof.parse_edges(args.edges.read_bytes())
-    else:
-        nominations = iof.parse_adjacency(args.adjacency.read_bytes(), {s.id for s in roster})
-    # a generator, so each warning comes out as make_cohort reaches its tie
-    ties = _drop_repeats(nominations) if args.dedupe else nominations
-    cohort = make_cohort(roster, ties, args.label)
+    if args.edges is not None:  # the whole file is parsed before any tie is checked
+        rows = iof._edge_rows(args.edges.read_bytes())
+    else:  # a matrix cell has no line of its own
+        ties = iof.parse_adjacency(args.adjacency.read_bytes(), {s.id for s in roster})
+        rows = [(None, tie) for tie in ties]
+    line = None  # the line of the tie make_cohort is checking
+
+    def nominations() -> Iterator[tuple[int, int]]:
+        nonlocal line
+        for line, tie in rows:
+            yield tie
+
+    # generators, so each warning comes out as make_cohort reaches its tie
+    ties = _drop_repeats(nominations()) if args.dedupe else nominations()
+    try:
+        cohort = make_cohort(roster, ties, args.label)
+    except DataError as exc:  # a refused tie, or the roster before any tie
+        if line is None:
+            raise
+        raise DataError(str(exc), line=line) from None
     return (f"wrote {args.out} ({len(cohort.students)} students, "
             f"{len(cohort.network.edges)} ties)\n"), {args.out: iof.save_cohort(cohort)}
 

@@ -176,17 +176,22 @@ def export_roster(students: Sequence[Student]) -> bytes:
 
 # -- edge list ----------------------------------------------------------------
 
-def parse_edges(data: bytes | str) -> list[tuple[int, int]]:
-    """Parse `source,target` rows into a directed nomination list."""
+def _edge_rows(data: bytes | str) -> list[tuple[int, tuple[int, int]]]:
+    """Each `source,target` row's line and its nomination."""
     _, _, body = _table(data, "edge", ["source", "target"])
-    edges = []
+    rows = []
     for line, row in _fields(body, 2):
         src = _parse_id(row[0], line)
         tgt = _parse_id(row[1], line)
         if src == tgt:
             raise DataError(f"self-nomination ({src}, {tgt})", line=line)
-        edges.append((src, tgt))
-    return edges
+        rows.append((line, (src, tgt)))
+    return rows
+
+
+def parse_edges(data: bytes | str) -> list[tuple[int, int]]:
+    """Parse `source,target` rows into a directed nomination list."""
+    return [tie for _, tie in _edge_rows(data)]
 
 
 def export_edges(net: FriendshipNetwork) -> bytes:

@@ -121,6 +121,10 @@ class Student(_StudentFields):
                 raise DataError(f"student {id}: semester {s!r} is not a string")
             if not s or any("\ud800" <= c <= "\udfff" for c in s):  # a lone surrogate
                 raise DataError(f"student {id}: semester {s!r} is empty or not UTF-8 text")
+            # a roster line ends at a CR, which csv before 3.13 leaves unquoted, and the
+            # csv module of CPython 3.10 can neither write nor read a NUL
+            if "\r" in s or "\0" in s:
+                raise DataError(f"student {id}: semester {s!r} holds a carriage return or NUL")
         # stored as floats, so a cohort file reads back as the bytes it was saved as
         return super().__new__(cls, id, gender, {
             s: _check_mark(m, f"student {id}, semester {s!r}") for s, m in marks.items()})

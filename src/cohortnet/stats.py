@@ -86,10 +86,15 @@ def skewness(marks: Sequence[float]) -> float:
         raise AnalysisError(f"skewness needs at least 3 samples, got {n}")
     for i, x in enumerate(marks):
         _check_mark(x, f"mark list, entry {i}")
-    mean = statistics.fmean(marks)
     s = _stdev(marks)
     if s == 0.0:
         raise AnalysisError("skewness is undefined for a constant sample")
+    return _g1(marks, statistics.fmean(marks), s)
+
+
+def _g1(marks: Sequence[float], mean: float, s: float) -> float:
+    """g1 of checked marks (n >= 3) with their mean and nonzero standard deviation."""
+    n = len(marks)
     third = math.fsum(((x - mean) / s) ** 3 for x in marks)
     return n / ((n - 1) * (n - 2)) * third
 
@@ -120,15 +125,16 @@ def summarize(marks: Sequence[float], bin_width: float = 5) -> DistributionSumma
     for i, x in enumerate(marks):
         _check_mark(x, f"mark list, entry {i}")
     n = len(marks)
+    mean = statistics.fmean(marks)
     stddev = _stdev(marks) if n >= 2 else None
     g1: float | None = None
     shape: Shape | None = None
     if n >= 3 and stddev:
-        g1 = skewness(marks)
+        g1 = _g1(marks, mean, stddev)
         shape = _classify_shape(g1)
     return DistributionSummary(
         n=n,
-        mean=statistics.fmean(marks),
+        mean=mean,
         median=statistics.median(marks),
         minimum=min(marks),
         maximum=max(marks),

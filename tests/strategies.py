@@ -45,8 +45,11 @@ _ESCAPED = ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\r\t", "s\u00e9m", "\u2028", "\
             "\u5b66\u671f"]
 # Cohort labels: any str, the empty one and a lone surrogate included.
 json_texts = st.one_of(st.text(max_size=6), st.sampled_from([*_ESCAPED, "\ud800"]))
-# Semester labels: Student refuses an empty one and one with a lone surrogate.
-semester_texts = st.one_of(st.text(min_size=1, max_size=6), st.sampled_from(_ESCAPED))
+# Semester labels: Student refuses an empty one and one with a lone surrogate, a CR or a NUL.
+semester_texts = st.one_of(
+    st.text(st.characters(exclude_characters="\r\0"), min_size=1, max_size=6),
+    st.sampled_from([t.replace("\r", "").replace("\0", "") for t in _ESCAPED]),
+)
 
 
 @st.composite

@@ -16,8 +16,6 @@ from cohortnet.io_formats import save_cohort
 
 ROSTER = "id,gender,mark_s5\n1,M,80\n2,F,55\n3,F,70\n"
 EDGES = "source,target\n1,2\n2,3\n"
-# a refused nomination names no line yet
-NO_TIE_LOCATOR = pytest.mark.xfail(reason="ROADMAP item 3: no line locator yet")
 
 
 def write_cohort(path, students, edges, label="t"):
@@ -286,14 +284,15 @@ class TestInputHardening:
 
     @pytest.mark.parametrize("source, text, line, message", [
         pytest.param("edges", "source,target\n1,2\n1,2\n", 3,
-                     "nomination (1, 2) appears more than once", id="edges-repeated",
-                     marks=NO_TIE_LOCATOR),
+                     "nomination (1, 2) appears more than once", id="edges-repeated"),
         pytest.param("edges", "source,target\n1,9\n", 2, "edge target 9 is not in the roster",
-                     id="edges-target-not-in-roster", marks=NO_TIE_LOCATOR),
-        pytest.param("adjacency", ",1,9\n1,0,1\n9,0,0\n", 1, "9 is not in the roster",
+                     id="edges-target-not-in-roster"),
+        pytest.param("adjacency", ",1,9\n1,0,1\n9,0,0\n", 1,
+                     "adjacency header id 9 is not in the roster",
                      id="adjacency-header-id-not-in-roster"),
         pytest.param("adjacency", ",1,2,9\n1,0,1,0\n2,0,0,0\n9,0,0,0\n", 1,
-                     "9 is not in the roster", id="adjacency-header-id-without-ties"),
+                     "adjacency header id 9 is not in the roster",
+                     id="adjacency-header-id-without-ties"),
     ])
     def test_refused_tie_names_line(self, tmp_path, capsys, source, text, line, message):
         (tmp_path / "roster.csv").write_text(ROSTER)
@@ -301,8 +300,18 @@ class TestInputHardening:
         out = tmp_path / "out"
         assert main(["ingest", "--roster", str(tmp_path / "roster.csv"), f"--{source}",
                      str(tmp_path / "ties.csv"), "--out", str(out / "c.json")]) == 2
-        err = capsys.readouterr().err
-        assert f"data error: line {line}: " in err and message in err
+        assert capsys.readouterr().err == f"data error: line {line}: {message}\n"
+        assert not out.exists()
+
+    def test_dedupe_keeps_the_refused_tie_line(self, tmp_path, capsys, caplog):
+        (tmp_path / "roster.csv").write_text(ROSTER)
+        (tmp_path / "ties.csv").write_text("source,target\n1,2\n1,2\n9,1\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--roster", str(tmp_path / "roster.csv"), "--edges",
+                     str(tmp_path / "ties.csv"), "--out", str(out / "c.json"), "--dedupe"]) == 2
+        assert caplog.messages == ["duplicate nomination (1, 2) ignored"]
+        assert capsys.readouterr().err.endswith(
+            "data error: line 4: edge source 9 is not in the roster\n")
         assert not out.exists()
 
     @settings(max_examples=200, deadline=None)
@@ -388,16 +397,21 @@ class TestInputHardening:
         assert f"{fmt} cannot carry" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["\\udcff", ""], ids=["surrogate", "empty"])
-    def test_unwritable_semester_refused(self, tmp_path, capsys, key):
-        # no roster header mark_<semester> holds it, and a report naming it is not UTF-8
+    @pytest.mark.parametrize("key, why", [
+        ("\\udcff", "is empty or not UTF-8 text"),
+        ("", "is empty or not UTF-8 text"),
+        ("a\\rb", "holds a carriage return or NUL"),
+        ("a\\u0000b", "holds a carriage return or NUL"),
+    ], ids=["surrogate", "empty", "cr", "nul"])
+    def test_unwritable_semester_refused(self, tmp_path, capsys, key, why):
+        # export_roster could not write it as a mark_<semester> header that reads back
         cohort, partition = plan_inputs(tmp_path)
         cohort.write_text(cohort.read_text().replace('"s5"', f'"{key}"'))
         out = tmp_path / "out"
         assert main(["plan", str(cohort), "--partition", str(partition), "--max-group", "6",
                      "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"data error: student 1: semester '{key}' is empty or not UTF-8 text\n")
+        label = json.loads(f'"{key}"')  # the key the JSON escape spells
+        assert capsys.readouterr().err == f"data error: student 1: semester {label!r} {why}\n"
         assert not out.exists()
 
     def test_non_utf8_cohort_exit_2(self, tmp_path):

@@ -703,3 +703,10 @@ def test_parser_fixed_point(fmt, data):
     again = parse(written)
     assert value(again) == value(parsed)
     assert write(again) == written
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohorts())
+def test_roster_round_trip_from_value(cohort):
+    # value first: every roster a library caller can build reads back as itself
+    assert parse_roster(export_roster(cohort.students)) == list(cohort.students)

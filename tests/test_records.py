@@ -139,6 +139,10 @@ def test_fields_cannot_be_reassigned(cls):
      "student 1: semester '' is empty or not UTF-8 text"),
     (lambda: Student(id=1, marks={"s\udcff": 80.0}), DataError,
      "student 1: semester 's\\udcff' is empty or not UTF-8 text"),
+    (lambda: Student(id=1, marks={"a\rb": 80.0}), DataError,
+     "student 1: semester 'a\\rb' holds a carriage return or NUL"),
+    (lambda: Student(id=1, marks={"a\0b": 80.0}), DataError,
+     "student 1: semester 'a\\x00b' holds a carriage return or NUL"),
     (lambda: Partition(assignment={}, k=0), DataError, "a partition needs at least one node"),
     (lambda: Partition(assignment={1: 0, 2: 2}, k=2), DataError,
      "cluster ids must be exactly 0..1, got [0, 2]"),
@@ -155,7 +159,8 @@ def test_fields_cannot_be_reassigned(cls):
 ], ids=[
     "student-id", "student-mark", "student-bool-id", "student-bool-mark",
     "student-float-id", "student-str-id", "student-marks-not-a-dict", "student-int-semester",
-    "student-empty-semester", "student-surrogate-semester",
+    "student-empty-semester", "student-surrogate-semester", "student-cr-semester",
+    "student-nul-semester",
     "partition-empty", "partition-not-dense",
     "config-thresholds", "config-k-max", "config-bin-width", "config-group-size",
     "policy-thresholds", "policy-group-size",

@@ -8,6 +8,7 @@ The betweenness references sum their sources in blocks of the kernels'
 """
 
 import errno
+import mmap
 import operator
 import os
 import signal
@@ -403,47 +404,45 @@ _nodes, _edges = planted_community_edges(seed=402, n=160)
 PLANTED = symmetrize(mknet(_edges, _nodes), SymmetrizeRule.UNION)
 
 
-def _in_child_pwrite(misbehave):
-    """An ``os.pwrite`` that hands every row write to
-    ``misbehave(real_pwrite, fd, data, offset, earlier)``. Only forked children
-    write rows, and each counts its ``earlier`` writes in its own copy of ``calls``."""
-    real_pwrite, calls = os.pwrite, []
+def _in_child(misbehave):
+    """A ``centrality.array`` that, in a forked child, hands each block's row to
+    ``misbehave(real_array, typecode, values, earlier)``. A child turns each block
+    sum into one row, and counts its ``earlier`` rows in its own copy of ``calls``."""
+    parent, real_array, calls = os.getpid(), centrality.array, []
 
-    def pwrite(fd, data, offset):
-        calls.append(offset)
-        return misbehave(real_pwrite, fd, data, offset, len(calls) - 1)
+    def array(typecode, values):
+        if os.getpid() == parent:
+            return real_array(typecode, values)
+        calls.append(None)
+        return misbehave(real_array, typecode, values, len(calls) - 1)
 
-    return pwrite
+    return array
 
 
-def _exit_at_first_row(real_pwrite, fd, data, offset, earlier):
+def _exit_at_first_row(real_array, typecode, values, earlier):
     os._exit(1)
 
 
-def _exit_mid_block(real_pwrite, fd, data, offset, earlier):
+def _exit_mid_block(real_array, typecode, values, earlier):
     if earlier == 3:
         os._exit(1)
-    return real_pwrite(fd, data, offset)
+    return real_array(typecode, values)
 
 
-def _write_half_rows(real_pwrite, fd, data, offset, earlier):
-    return real_pwrite(fd, memoryview(data).cast("B")[: 4 * len(data)], offset)
-
-
-def _kill_self(real_pwrite, fd, data, offset, earlier):
+def _kill_self(real_array, typecode, values, earlier):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
 @CPUS
 @pytest.mark.parametrize(
-    "misbehave", [_exit_at_first_row, _exit_mid_block, _write_half_rows, _kill_self]
+    "misbehave", [_exit_at_first_row, _exit_mid_block, _kill_self]
 )
 def test_failed_children_change_nothing(monkeypatch, cpus, misbehave):
     net = mknet(sorted(PLANTED.edges), PLANTED.nodes)
     with forking(cpus) as forks:  # blocks of one source, as in a serial loop
         expected_edges = edge_betweenness_subset_ref(sorted(PLANTED.nodes), PLANTED.adjacency)
         expected_nodes = _betweenness_ref(net, Mode.DIRECTED)
-        monkeypatch.setattr(os, "pwrite", _in_child_pwrite(misbehave))
+        monkeypatch.setattr(centrality, "array", _in_child(misbehave))
         assert edge_betweenness(PLANTED) == expected_edges
         assert betweenness(net, Mode.DIRECTED).scores == expected_nodes
     assert len(forks) == 2 * (cpus - 1)
@@ -465,7 +464,7 @@ def test_no_file_descriptor_left(monkeypatch):
     before = len(os.listdir("/proc/self/fd"))
     with forking(2) as forks:
         assert centrality._fold_sources(300, 2, _add_rows(row_of)) == [300.0, 44850.0]
-        monkeypatch.setattr(os, "pwrite", _in_child_pwrite(_exit_at_first_row))
+        monkeypatch.setattr(centrality, "array", _in_child(_exit_at_first_row))
         assert centrality._fold_sources(300, 2, _add_rows(row_of)) == [300.0, 44850.0]
         with pytest.raises(KeyboardInterrupt):
             centrality._fold_sources(300, 2, _add_rows(interrupted))
@@ -474,15 +473,11 @@ def test_no_file_descriptor_left(monkeypatch):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("memfd", ["raises", "missing"])
-def test_no_in_memory_file_stays_on_one_cpu(monkeypatch, memfd):
-    def no_memfd(*args):
-        raise OSError(errno.EMFILE, "Too many open files")
+def test_no_shared_mapping_stays_on_one_cpu(monkeypatch):
+    def no_mapping(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
-    if memfd == "raises":
-        monkeypatch.setattr(os, "memfd_create", no_memfd)
-    else:
-        monkeypatch.delattr(os, "memfd_create", raising=False)
+    monkeypatch.setattr(mmap, "mmap", no_mapping)
     with forking(3, fork=_refuse_fork) as forks:
         assert edge_betweenness(PLANTED) == edge_betweenness_subset_ref(
             sorted(PLANTED.nodes), PLANTED.adjacency

@@ -14,6 +14,7 @@ from cohortnet import (
     compare_groups,
     generate_demo_cohort,
     skewness,
+    stats,
     summarize,
 )
 from cohortnet.errors import AnalysisError, DataError, UsageError
@@ -41,8 +42,7 @@ class TestSkewness:
     @settings(max_examples=60)
     @given(marks_lists)
     def test_reflection_flips_sign(self, marks):
-        lo, hi = min(marks), max(marks)
-        mirrored = [hi + lo - x for x in marks]
+        mirrored = [100 - x for x in marks]  # in [0, 100]; hi + lo - x can round past 100
         # stays inside the sample-skewness domain: n >= 3 and a stddev that
         # does not underflow to zero
         if len(marks) < 3 or statistics.stdev(marks) == 0 or statistics.stdev(mirrored) == 0:
@@ -92,6 +92,19 @@ class TestSummarize:
         lowers = [lb for lb, _ in s.histogram]
         assert lowers == [float(x) for x in range(0, 101, 10)]
         assert sum(c for _, c in s.histogram) == 3
+
+    @pytest.mark.parametrize("marks", [[50, 60, 70], [40, 41, 42, 95, 96, 97, 98, 99]])
+    def test_checks_each_mark_once(self, monkeypatch, marks):
+        checked = []
+
+        def counting_check(x, where):
+            checked.append(where)
+            return real_check(x, where)
+
+        real_check = stats._check_mark
+        monkeypatch.setattr(stats, "_check_mark", counting_check)
+        assert summarize(marks).skew is not None
+        assert checked == [f"mark list, entry {i}" for i in range(len(marks))]
 
     @settings(max_examples=60)
     @given(marks_lists)
