@@ -226,6 +226,8 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> tuple[str, Files]:
         raise UsageError("--k-max needs --communities: no --measure reads it")
     if args.top is not None and args.communities:
         raise UsageError("--top needs --measure: --communities ranks no representatives")
+    if args.top is not None and args.top < 1:
+        raise UsageError(f"--top must be >= 1, got {args.top}")
     if args.mode is not None and args.measure != Measure.BETWEENNESS.value:
         raise UsageError("--mode needs --measure betweenness: no other analysis reads it")
     cohort = _load_cohort(args.cohort)

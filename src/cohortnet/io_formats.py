@@ -16,7 +16,7 @@ import json
 import sys
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
-from typing import TYPE_CHECKING, TypeVar
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import DataError
 from .model import Cohort, FriendshipNetwork, Gender, Partition, Student, _check_cover, make_cohort
@@ -200,10 +200,6 @@ def export_edges(net: FriendshipNetwork) -> bytes:
 
 # -- adjacency matrix ---------------------------------------------------------
 
-_BINARY = frozenset(("0", "1"))
-_Row = TypeVar("_Row")  # a body row: one line, or the csv reader's cells
-
-
 def parse_adjacency(
     data: bytes | str, roster: Collection[int] | None = None
 ) -> list[tuple[int, int]]:
@@ -213,22 +209,16 @@ def parse_adjacency(
     even one whose row and column hold no tie.
     """
     text = _text(data)
-    ids, rows = _plain_matrix(text, roster) or _csv_matrix(text, roster)
-    edges = []
-    for row_id, bits in zip(ids, rows):
-        col = bits.find("1")
-        while col != -1:
-            edges.append((row_id, ids[col]))
-            col = bits.find("1", col + 1)
-    return edges
-
-
-def _matrix_head(
-    header_line: int, header: list[str], rows: Iterable[tuple[int, _Row]],
-    roster: Collection[int] | None,
-) -> tuple[list[int], list[tuple[int, _Row]]]:
-    """The header's ids and the body rows: the header is checked before a row is read
-    (reading one may be refused), and the number of rows once all are read."""
+    lines = _lines(text)
+    records = [(num, line) for num, line in enumerate(lines, start=1) if line]
+    body: Iterable[tuple[int, str | list[str]]]
+    # a text with no quote, no NUL (3.10's csv refuses it, 3.11+ reads it) and no line over
+    # csv.field_size_limit() holds one csv record per non-blank line, cells line.split(",")
+    if not records or '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+        header_line, header, body = _table(text, "adjacency")
+    else:
+        (header_line, first), *body = records
+        header = first.split(",")
     if len(header) < 2:
         raise DataError("adjacency header needs at least one id column", line=header_line)
     ids = [_parse_id(cell, header_line) for cell in header[1:]]
@@ -238,70 +228,46 @@ def _matrix_head(
         for i in ids:
             if i not in roster:
                 raise DataError(f"adjacency header id {i} is not in the roster", line=header_line)
-    body = list(rows)
-    if len(body) != len(ids):
-        raise DataError(
-            f"{len(ids)} id columns but {len(body)} data rows",
-            line=body[-1][0] if body else header_line,
-        )
-    return ids, body
-
-
-def _plain_matrix(text: str, roster: Collection[int] | None) -> tuple[list[int], list[str]] | None:
-    """The ids and each row's cells as one string of 0s and 1s, read without building
-    cells; None when the csv reader must read the text, or when a row fails the checks
-    here, so that _csv_matrix names the fault.
-
-    A text with no quote, no NUL (3.10's csv refuses it, 3.11+ reads it) and no line
-    over csv.field_size_limit() holds one csv record per non-blank line of _lines(text),
-    and the record's cells are line.split(",").
-    """
-    if '"' in text or "\0" in text:
-        return None
-    lines = _lines(text)
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    records = [(num, line) for num, line in enumerate(lines, start=1) if line]
-    if not records:
-        return None
-    (header_line, first), *rest = records
-    header = first.split(",")
-    ids, body = _matrix_head(header_line, header, rest, roster)
+    body = list(body)  # read after the header is checked: the csv reader may refuse a record
     n = len(ids)
+    if len(body) != n:
+        raise DataError(f"{n} id columns but {len(body)} data rows",
+                        line=body[-1][0] if body else header_line)
     width, commas = 2 * n - 1, "," * (n - 1)
-    rows = []
-    for pos, (_, row) in enumerate(body):
-        label, _, cells = row.partition(",")
+    edges = []
+    for pos, (line, row) in enumerate(body):
+        # a csv record with n + 1 cells is checked as its cells joined by commas: n cells
+        # joined into 2n - 1 characters, with a comma at every odd position and none at an
+        # even one, are one character each
+        joined = row if isinstance(row, str) else ",".join(row) if len(row) == n + 1 else ""
+        label, _, cells = joined.partition(",")
         bits = cells[::2]
         # header[pos + 1] passed _parse_id, so it is the only spelling of ids[pos]
         if not (len(cells) == width and cells[1::2] == commas and bits[pos] == "0"
                 and bits.count("0") + bits.count("1") == n and label == header[pos + 1]):
-            return None
-        rows.append(bits)
-    return ids, rows
+            _refuse_row(line, row.split(",") if isinstance(row, str) else row, ids, pos)
+        col = bits.find("1")
+        while col != -1:
+            edges.append((ids[pos], ids[col]))
+            col = bits.find("1", col + 1)
+    return edges
 
 
-def _csv_matrix(text: str, roster: Collection[int] | None) -> tuple[list[int], list[str]]:
-    """The ids and each row's cells as one string, from the csv reader's cells; a row is
-    refused for its width, then its label, then its first bad cell in column order."""
-    ids, body = _matrix_head(*_table(text, "adjacency"), roster)
-    rows = []
-    for pos, (line, row) in enumerate(_fields(body, len(ids) + 1)):
-        row_id = _parse_id(row[0], line)
-        if row_id != ids[pos]:
-            raise DataError(
-                f"row label {row_id} does not match header order (expected {ids[pos]})",
-                line=line,
-            )
-        cells = row[1:]  # the diagonal is column pos: row_id == ids[pos] and ids are unique
-        if not _BINARY.issuperset(cells) or cells[pos] == "1":
-            col, cell = next((col, cell) for col, cell in enumerate(cells)
-                             if cell not in _BINARY or col == pos and cell == "1")
-            if cell == "1":
-                raise DataError(f"diagonal entry for id {row_id} is 1", line=line)
-            raise DataError(f"column {col + 2}: entry {cell!r} is not 0 or 1", line=line)
-        rows.append("".join(cells))  # one character per column
-    return ids, rows
+def _refuse_row(line: int, cells: list[str], ids: list[int], pos: int) -> NoReturn:
+    """Refuse the matrix row at `pos`: its width, then its label, then its first bad cell
+    in column order."""
+    if len(cells) != len(ids) + 1:
+        raise DataError(f"expected {len(ids) + 1} fields, got {len(cells)}", line=line)
+    row_id = _parse_id(cells[0], line)
+    if row_id != ids[pos]:
+        raise DataError(f"row label {row_id} does not match header order (expected {ids[pos]})",
+                        line=line)
+    # the diagonal is column pos: row_id == ids[pos] and ids are unique
+    col, cell = next((col, cell) for col, cell in enumerate(cells[1:])
+                     if cell not in ("0", "1") or col == pos and cell == "1")
+    if cell == "1":
+        raise DataError(f"diagonal entry for id {row_id} is 1", line=line)
+    raise DataError(f"column {col + 2}: entry {cell!r} is not 0 or 1", line=line)
 
 
 # -- cohort container ---------------------------------------------------------

@@ -240,33 +240,46 @@ class TestInputHardening:
         err = capsys.readouterr().err
         assert str(cfg) in err and "line 2" in err and "byte offset 20" in err
 
-    @pytest.mark.parametrize("kind, text, line", [
-        ("roster", "", 1),
-        ("roster", "id,gender,mark_s5,mark_s5\n1,M,80,80\n", 1),
-        ("roster", "id,gender,mark_s5\n1,M\n", 2),
-        ("roster", "id,gender,mark_s5\n1,M,abc\n", 2),
-        ("edges", "", 1),
-        ("edges", "source,target\n1,2,3\n", 2),
-        ("adjacency", "", 1),
-        ("adjacency", ",1,1\n1,0,0\n1,0,0\n", 1),
-        ("adjacency", ",1,2\n2,0,0\n1,0,0\n", 2),
-        ("partition", "", 1),
-        ("partition", "node,cluster\n1\n", 2),
-        ("partition", "id,cluster\n1,0\n", 1),
-        ("partition", "node,cluster\n", 1),
-        ("adjacency", "x\n", 1),
-        ("roster", "id,gender,mark_s5\n1,M," + "5" * 200_000 + "\n", 2),
-        ("roster", 'id,gender,mark_s5\n"1\n2",M,50\n', 2),
-        ("roster", 'id,gender,"mark_s\n5"\n1,M,50\n2,X,40\n', 4),
+    @pytest.mark.parametrize("kind, text, message", [
+        ("roster", "", "line 1: empty roster file"),
+        ("roster", "id,gender,mark_s5,mark_s5\n1,M,80,80\n", "line 1: duplicate mark column"),
+        ("roster", "id,gender,mark_s5\n1,M\n", "line 2: expected 3 fields, got 2"),
+        ("roster", "id,gender,mark_s5\n1,M,abc\n", "line 2: mark 'abc' is not a number"),
+        ("edges", "", "line 1: empty edge file"),
+        ("edges", "source,target\n1,2,3\n", "line 2: expected 2 fields, got 3"),
+        ("adjacency", "", "line 1: empty adjacency file"),
+        ("adjacency", ",1,1\n1,0,0\n1,0,0\n", "line 1: duplicate id in adjacency header"),
+        ("adjacency", ",1,2\n2,0,0\n1,0,0\n",
+         "line 2: row label 2 does not match header order (expected 1)"),
+        ("partition", "", "line 1: empty partition file"),
+        ("partition", "node,cluster\n1\n", "line 2: expected 2 fields, got 1"),
+        ("partition", "id,cluster\n1,0\n",
+         "line 1: expected header 'node,cluster', got 'id,cluster'"),
+        ("partition", "node,cluster\n", "line 1: partition file has no assignments"),
+        ("adjacency", "x\n", "line 1: adjacency header needs at least one id column"),
+        ("roster", "id,gender,mark_s5\n1,M," + "5" * 200_000 + "\n",
+         "line 2: field larger than field limit (131072)"),
+        ("roster", 'id,gender,mark_s5\n"1\n2",M,50\n', "line 2: id '1\\n2' is not an integer"),
+        ("roster", 'id,gender,"mark_s\n5"\n1,M,50\n2,X,40\n',
+         "line 4: student 2: gender 'X' is not one of M, F, U"),
+        ("adjacency", ",1,2,3\n1,0,1,0\n2,0,0,1\n", "line 3: 3 id columns but 2 data rows"),
+        ("adjacency", ",1,2\n1,0,1,0\n2,0,0\n", "line 2: expected 3 fields, got 4"),
+        ("adjacency", ",1,2\n01,0,1\n2,0,0\n", "line 2: id '01' has a leading zero"),
+        ("adjacency", ",1,2\n1,0,2\n2,0,0\n", "line 2: column 3: entry '2' is not 0 or 1"),
+        ("adjacency", ",1,2\n1,0,1\n2,0,1\n", "line 3: diagonal entry for id 2 is 1"),
+        ("adjacency", ",1,2\n1,0,1\n2,0," + "0" * 200_000 + "\n",
+         "line 3: field larger than field limit (131072)"),
     ], ids=[
         "roster-empty", "roster-duplicate-mark-column", "roster-field-count",
         "roster-mark-abc", "edges-empty", "edges-field-count", "adjacency-empty",
         "adjacency-duplicate-header-id", "adjacency-row-out-of-order", "partition-empty",
         "partition-field-count", "partition-header", "partition-header-only",
         "adjacency-no-id-column", "roster-cell-over-field-limit", "roster-quoted-id-spans-lines",
-        "roster-line-after-multiline-header",
+        "roster-line-after-multiline-header", "adjacency-row-count", "adjacency-field-count",
+        "adjacency-row-label-spelling", "adjacency-non-binary-cell", "adjacency-diagonal-one",
+        "adjacency-cell-over-field-limit",
     ])
-    def test_malformed_file_exit_2_with_line(self, tmp_path, capsys, kind, text, line):
+    def test_malformed_file_exit_2_with_line(self, tmp_path, capsys, kind, text, message):
         paths = {}
         for name, content in {"roster": ROSTER, "edges": EDGES, kind: text}.items():
             paths[name] = tmp_path / f"{name}.csv"
@@ -279,7 +292,7 @@ class TestInputHardening:
             argv = ["ingest", "--roster", str(paths["roster"]), f"--{source}",
                     str(paths[source]), "--out", str(out / "c.json")]
         assert main(argv + ["--out-dir", str(out)]) == 2
-        assert f"data error: line {line}: " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("source, text, line, message", [
@@ -371,12 +384,15 @@ class TestInputHardening:
             locators = re.findall(re.escape(str(cfg)) + r":(?: line)? ?(\d+):", err.getvalue())
             assert all(1 <= int(n) <= _line_count(config) for n in locators)
 
-    @pytest.mark.parametrize("top", ["0", "1000"])
-    def test_refused_command_writes_nothing(self, tmp_path, capsys, top):
+    @pytest.mark.parametrize("top, code, err", [
+        ("0", 1, "usage error: --top must be >= 1, got 0\n"),
+        ("1000", 3, "analysis refused: "),
+    ], ids=["0", "1000"])
+    def test_refused_command_writes_nothing(self, tmp_path, capsys, top, code, err):
         out = tmp_path / "out"
         assert main(["analyze", str(path_cohort(tmp_path)), "--measure", "degree",
-                     "--top", top, "--out-dir", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("analysis refused: ")
+                     "--top", top, "--out-dir", str(out)]) == code
+        assert capsys.readouterr().err.startswith(err)
         assert not out.exists()
 
     @pytest.mark.parametrize("label, fmt", [

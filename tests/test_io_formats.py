@@ -13,6 +13,7 @@ from cohortnet import (
     Partition,
     Student,
     build_network,
+    io_formats,
     make_cohort,
     partition_from_blocks,
 )
@@ -264,6 +265,13 @@ def faulty_matrices(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+def _quote_cells(text):
+    """The text with each cell of each non-blank line in double quotes."""
+    parts = re.split(r"(\r\n|\r|\n)", text)
+    return "".join(part if i % 2 or not part else ",".join(f'"{c}"' for c in part.split(","))
+                   for i, part in enumerate(parts))
+
+
 @pytest.fixture
 def field_limit_20():
     """csv.field_size_limit() lowered to 20 characters for one test."""
@@ -295,6 +303,15 @@ class TestAdjacency:
             parse_adjacency(",1,2\n1,0,2\n2,0,0\n")
         assert err.value.line == 2
 
+    def test_refused_quote_free_matrix_is_read_once(self, monkeypatch):
+        def no_csv_reader(text):
+            raise AssertionError("the csv reader was asked to read a quote-free matrix")
+
+        monkeypatch.setattr(io_formats, "_records", no_csv_reader)
+        with pytest.raises(DataError) as err:
+            parse_adjacency(",1,2\n1,0,2\n2,0,0\n")
+        assert str(err.value) == "line 2: column 3: entry '2' is not 0 or 1"
+
     @pytest.mark.parametrize("text, line", [
         (",1,2,9\n1,0,1,0\n2,0,0,0\n9,0,0,0\n", 1),
         ('\n"",1,2,9\n1,0,1,0\n2,0,0,0\n9,0,0,0\n', 2),  # read by the csv reader
@@ -319,7 +336,10 @@ class TestAdjacency:
     @example("")
     @given(faulty_matrices())
     def test_matches_cell_by_cell_reference(self, text):
-        assert outcome(parse_adjacency, text) == outcome(parse_adjacency_ref, text)
+        expected = outcome(parse_adjacency_ref, text)
+        assert outcome(parse_adjacency, text) == expected
+        if '"' not in text:  # the same cells, quoted, go through the csv reader
+            assert outcome(parse_adjacency, _quote_cells(text)) == expected
 
     @pytest.mark.parametrize("text, expected", [
         # every line is over the limit, every cell within it: the csv reader reads it

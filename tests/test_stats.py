@@ -41,6 +41,7 @@ class TestSkewness:
 
     @settings(max_examples=60)
     @given(marks_lists)
+    @example([0.0, 0.0, 1.192092896e-07])  # mirrored, a spread of 1.2e-7 at 100
     def test_reflection_flips_sign(self, marks):
         mirrored = [100 - x for x in marks]  # in [0, 100]; hi + lo - x can round past 100
         # stays inside the sample-skewness domain: n >= 3 and a stddev that
