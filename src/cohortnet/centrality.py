@@ -24,7 +24,8 @@ import os
 import signal
 import threading
 from array import array
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from functools import reduce
 from typing import NamedTuple, TypeVar
 
@@ -33,8 +34,8 @@ from .model import FriendshipNetwork, Mode, SymmetrizeRule, symmetrize
 
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_CAP = 1000
-# Betweenness sums its BFS sources in fixed blocks of this many; a forked worker
-# costs more than it saves on fewer, so a pass forks only from two full blocks on.
+# Betweenness sums its BFS sources in fixed blocks of this many; a peer costs more
+# than it saves on fewer, so a pass is split over peers only from two full blocks on.
 FORK_MIN_BLOCK = 64
 CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"  # cgroup v2 CPU quota, read by _usable_cpus
 _Key = TypeVar("_Key", int, tuple[int, int])  # what top_k ranks: a node id or an edge
@@ -116,66 +117,181 @@ def _usable_cpus() -> int:
         return cpus
 
 
+class _Peers:
+    """The processes of one peer group: rank 0 is the caller, ranks 1.. its forked peers.
+
+    Every peer runs the same code, so each makes the same sequence of folds.
+    Each peer has an inbox pipe, written by the caller and by the peer before
+    it, and a pipe up to the caller.
+    """
+
+    def __init__(self) -> None:
+        self.rank = 0
+        self.size = 1
+        self.folds = 0  # every fold counts, so a peer that skips one sends the wrong number
+        self.splits = 0  # split folds; their parity picks the half of ``rows`` they write
+        self.half = 0  # doubles in each half of ``rows``
+        self.rows: memoryview | None = None  # one shared anonymous mapping, cast to doubles
+        self.links: list[tuple[int, int, int]] = []  # the caller's: (pid, up read, inbox write)
+        self.fds: set[int] = set()  # every pipe end the caller holds
+        self.link = (-1, -1)  # a peer's: (inbox read, up write)
+        self.next = -1  # the next peer's inbox write end
+
+    def fold(
+        self, n_sources: int, width: int, add_sources: Callable[[int, int, list[float]], None]
+    ) -> list[float]:
+        """Entry-wise sum over sources 0 .. n_sources-1, in fixed blocks of FORK_MIN_BLOCK.
+
+        ``add_sources(lo, hi, acc)`` adds sources lo .. hi-1 in order into ``acc``.
+        Each block's sum starts at 0.0 and the block sums are added in order.
+        With two peers and two full blocks or more, each peer sums one of even
+        contiguous ranges of sources and writes its block sums into the shared
+        mapping. A block that a range boundary cuts is begun by the owner of
+        its first source, which sums its part first and hands it on; the next
+        range's owner adds its own sources to that sum, in order, so the block
+        sum keeps its bits. After one barrier every peer folds every block sum,
+        so all peers get the same result, whichever process summed which source.
+        """
+        self.folds += 1
+        block = FORK_MIN_BLOCK
+
+        def summed(lo: int, hi: int) -> list[float]:
+            acc = [0.0] * width
+            add_sources(lo, hi, acc)
+            return acc
+
+        def serial() -> list[float]:
+            total = [0.0] * width
+            for lo in range(0, n_sources, block):
+                total = list(map(operator.add, total, summed(lo, min(n_sources, lo + block))))
+            return total
+
+        peers = min(self.size, n_sources // block)  # each range holds a full block or more
+        if peers < 2:  # under two full blocks every peer sums every block
+            return serial()
+        self.splits += 1
+        base = self.half * (self.splits % 2)  # peers may still read the last split fold's half
+
+        def row(b: int) -> slice:
+            return slice(base + width * b, base + width * (b + 1))
+
+        if self.rank < peers:
+            lo, hi = (-(-n_sources * p // peers) for p in (self.rank, self.rank + 1))
+            first = -(-lo // block) * block  # the first block that begins in this range
+            tail = hi // block * block if hi < n_sources else hi  # where the next range's block begins
+            if tail < hi:  # begin that block first, so the next peer never waits long
+                self.rows[row(tail // block)] = array("d", summed(tail, hi))
+                try:
+                    os.write(self.next, b"h")
+                except OSError:  # the next peer is gone: the barrier ends the group
+                    pass
+            for start in range(first, tail, block):
+                self.rows[row(start // block)] = array("d", summed(start, min(start + block, tail)))
+            if first > lo:  # the block the last range began: add this range's sources to it
+                if os.read(self.link[0], 1) != b"h":  # the caller ended the group
+                    os._exit(0)
+                acc = self.rows[row(lo // block)].tolist()
+                add_sources(lo, first, acc)
+                self.rows[row(lo // block)] = array("d", acc)
+        if not self._barrier(b"%d %d %d\n" % (self.folds, n_sources, width)):
+            return serial()  # the group ended: the caller, alone now, sums every source
+        total = [0.0] * width
+        for b in range(-(-n_sources // block)):
+            total = list(map(operator.add, total, self.rows[row(b)]))
+        return total
+
+    def _barrier(self, message: bytes) -> bool:
+        """Wait until every peer has written this fold's rows; False if the group ends here.
+
+        Each peer sends ``message`` and waits for the caller's go. A peer that is
+        gone, or whose message differs, ends the group.
+        """
+        if self.rank:
+            inbox, up = self.link
+            os.write(up, message)
+            if os.read(inbox, 1) != b"+":  # the caller ended the group
+                os._exit(0)
+            return True
+        try:
+            if all(os.read(up, len(message) + 1) == message for _, up, _ in self.links):
+                for _, _, inbox in self.links:
+                    os.write(inbox, b"+")
+                return True
+        except OSError:  # a peer that is gone closed its end
+            pass
+        self.end()
+        return False
+
+    def end(self) -> None:
+        """Kill and reap every peer and close the pipes: the caller goes on alone."""
+        for pid, _, _ in self.links:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in self.fds:
+            os.close(fd)
+        self.links, self.fds, self.size = [], set(), 1
+
+
+@contextmanager
+def _peer_group(n_sources: int, width: int) -> Iterator[_Peers]:
+    """A group for folds of up to ``n_sources`` sources and ``width`` entries.
+
+    With more than one usable CPU, no other thread alive, two full blocks and a
+    shared mapping, the caller forks min(CPUs, n_sources // FORK_MIN_BLOCK) - 1
+    peers. They run the ``with`` body in lockstep with it and exit where it ends.
+    A failed fork, pipe or mapping leaves the caller alone; on any exit of the
+    body the caller kills and reaps the peers.
+    """
+    group = _Peers()
+    caller = os.getpid()
+    try:
+        # probe the CPUs only when a fold can be split
+        if n_sources >= 2 * FORK_MIN_BLOCK and width and threading.active_count() == 1:
+            group.size = min(_usable_cpus(), n_sources // FORK_MIN_BLOCK)
+        if group.size > 1:
+            group.half = width * -(-n_sources // FORK_MIN_BLOCK)  # one row per block
+            pipes: list[tuple[int, int]] = []  # an up pipe, then an inbox, per peer
+            try:  # an anonymous mapping is shared: every peer reads what the others write
+                group.rows = memoryview(mmap.mmap(-1, 2 * 8 * group.half)).cast("d")
+                while len(pipes) < 2 * (group.size - 1):
+                    pipes.append(os.pipe())
+                    group.fds.update(pipes[-1])
+            except OSError:  # no mapping (ENOMEM) or no pipes (EMFILE): stay on one CPU
+                group.end()
+        if group.size > 1:
+            ups, inboxes = pipes[:group.size - 1], pipes[group.size - 1:]
+            for rank, (up, inbox) in enumerate(zip(ups, inboxes), 1):
+                try:
+                    pid = os.fork()
+                except OSError:  # no fork: stay on one CPU
+                    group.end()
+                    break
+                if pid == 0:
+                    nxt = inboxes[rank][1] if rank < len(inboxes) else -1
+                    for fd in group.fds - {inbox[0], up[1], nxt}:
+                        os.close(fd)
+                    group.rank, group.links, group.fds = rank, [], set()
+                    group.link, group.next = (inbox[0], up[1]), nxt
+                    break
+                os.close(up[1])
+                os.close(inbox[0])
+                group.fds -= {up[1], inbox[0]}
+                group.links.append((pid, up[0], inbox[1]))
+            else:
+                group.next = inboxes[0][1]
+        yield group
+    finally:
+        if os.getpid() != caller:  # a peer: the body ended or raised
+            os._exit(0)
+        group.end()
+
+
 def _fold_sources(
     n_sources: int, width: int, add_sources: Callable[[int, int, list[float]], None]
 ) -> list[float]:
-    """Entry-wise sum over sources 0 .. n_sources-1, in fixed blocks of FORK_MIN_BLOCK.
-
-    ``add_sources(lo, hi, acc)`` adds sources lo .. hi-1 in order into ``acc``.
-    Each block's sum starts at 0.0 and the block sums are added in order, so
-    the result does not depend on which process sums which block. With more
-    than one usable CPU, no other thread alive and two full blocks, each worker
-    sums a contiguous run of blocks: forked children write block b's sum into
-    row b of one shared anonymous mapping, and the parent sums the first run,
-    then folds the rest in order, recomputing a failed child's blocks.
-    """
-    n_blocks = -(-n_sources // FORK_MIN_BLOCK)
-
-    def block_sum(b: int) -> list[float]:
-        acc = [0.0] * width
-        add_sources(b * FORK_MIN_BLOCK, min(n_sources, (b + 1) * FORK_MIN_BLOCK), acc)
-        return acc
-
-    total = [0.0] * width
-    workers = 1
-    # probe the CPUs only when a fork can follow
-    if n_sources >= 2 * FORK_MIN_BLOCK and width and threading.active_count() == 1:
-        workers = min(_usable_cpus(), n_sources // FORK_MIN_BLOCK)
-    live: set[int] = set()  # children not yet reaped
-    try:
-        try:  # an anonymous mapping is shared: the parent reads what a child writes
-            if workers > 1:
-                rows = memoryview(mmap.mmap(-1, 8 * width * n_blocks)).cast("d")
-        except OSError:  # no mapping (ENOMEM): stay on one CPU
-            workers = 1
-        bounds = [n_blocks * k // workers for k in range(workers + 1)]
-        runs = [(0, bounds[0], bounds[1])]  # (pid, first block, end block); pid 0: no child
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            try:
-                pid = os.fork()
-            except OSError:  # no child: the parent computes these blocks as well
-                runs.append((0, lo, hi))
-                continue
-            if pid == 0:  # exit 0 once every block's row is written
-                try:
-                    for b in range(lo, hi):
-                        rows[width * b:width * (b + 1)] = array("d", block_sum(b))
-                    os._exit(0)
-                finally:  # add_sources raised
-                    os._exit(1)
-            live.add(pid)
-            runs.append((pid, lo, hi))
-        for pid, lo, hi in runs:
-            delivered = pid in live and os.waitpid(pid, 0)[1] == 0
-            live.discard(pid)
-            for b in range(lo, hi):  # the parent's blocks, or those of a failed child
-                row = rows[width * b:width * (b + 1)] if delivered else block_sum(b)
-                total = list(map(operator.add, total, row))
-    finally:  # interrupted or failed: leave no child behind
-        for pid in live:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return total
+    """One ``_Peers.fold`` in a group of its own."""
+    with _peer_group(n_sources, width) as group:
+        return group.fold(n_sources, width, add_sources)
 
 
 def _brandes(order: list[int], nbrs: list[list[int]]) -> list[float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
-from .centrality import _fold_sources, _index_adjacency, _shortest_path_dag, top_k
+from .centrality import _fold_sources, _index_adjacency, _peer_group, _shortest_path_dag, top_k
 from .errors import AnalysisError
 from .model import Partition, UndirectedView, _check_cover, _components, partition_from_blocks
 
@@ -43,12 +43,13 @@ def edge_betweenness(view: UndirectedView) -> dict[tuple[int, int], float]:
 
 
 def _edge_betweenness_subset(
-    members: list[int], adjacency: Mapping[int, Iterable[int]]
+    members: list[int], adjacency: Mapping[int, Iterable[int]], fold=_fold_sources
 ) -> dict[tuple[int, int], float]:
     """Brandes-style edge accumulation restricted to ``members``.
 
     ``members`` must be closed under ``adjacency`` (e.g. a connected
-    component, or a whole view).
+    component, or a whole view). ``fold`` sums the sources' contributions:
+    a group of its own by default, or the ``fold`` of a peer group.
     """
     nbrs = _index_adjacency(members, adjacency)
     n = len(members)
@@ -70,7 +71,7 @@ def _edge_betweenness_subset(
                     acc[ids[v]] += c
                     delta[v] += c
 
-    eb = _fold_sources(n, len(edges), add_contributions)
+    eb = fold(n, len(edges), add_contributions)
     # every unordered pair was counted from both endpoints
     return {(members[i], members[j]): val / 2.0 for (i, j), val in zip(edges, eb)}
 
@@ -114,40 +115,43 @@ def girvan_newman(view: UndirectedView, *, stop_at_k: int | None = None) -> Divi
     comp_of = {v: cid for cid, members in comp_members.items() for v in members}
     leaders: dict[tuple[int, int], float] = {}  # each component's top edge and its value
 
-    def refresh(members: list[int]) -> None:
-        if any(adjacency[v] for v in members):
-            eb = _edge_betweenness_subset(members, adjacency)
-            [edge] = top_k(eb, 1)
-            leaders[edge] = eb[edge]
-
     steps: list[DivisionStep] = []
     count = len(comp_members)  # component ids are 0..count-1
     limit = len(view.nodes) if stop_at_k is None else stop_at_k  # n singletons: no edge left
-    if count < limit:
+    if count >= limit:
+        return DivisionTrace(initial=initial, steps=())
+    # one group for the whole loop: its peers divide in lockstep and share each kernel call
+    with _peer_group(max(map(len, blocks)), len(view.edges)) as peers:
+        def refresh(members: list[int]) -> None:
+            if any(adjacency[v] for v in members):
+                eb = _edge_betweenness_subset(members, adjacency, peers.fold)
+                [edge] = top_k(eb, 1)
+                leaders[edge] = eb[edge]
+
         for members in comp_members.values():
             refresh(members)
-    while leaders:
-        [edge] = top_k(leaders, 1)
-        del leaders[edge]
-        u, v = edge
-        adjacency[u].discard(v)
-        adjacency[v].discard(u)
+        while leaders:
+            [edge] = top_k(leaders, 1)
+            del leaders[edge]
+            u, v = edge
+            adjacency[u].discard(v)
+            adjacency[v].discard(u)
 
-        # does the component survive the removal?
-        cid = comp_of[u]
-        parts = _components(comp_members[cid], adjacency)
-        snapshot: Partition | None = None
-        if len(parts) > 1:
-            comp_members[cid], comp_members[count] = (sorted(p) for p in parts)
-            comp_of.update(dict.fromkeys(comp_members[count], count))
-            count += 1
-            snapshot = partition_from_blocks(comp_members.values())
-        steps.append(DivisionStep(removed_edge=edge, component_count=count, partition=snapshot))
-        if count >= limit:  # no removal follows, so the parts' leaders are never read
-            break
-        if snapshot is not None:
-            refresh(comp_members[count - 1])
-        refresh(comp_members[cid])
+            # does the component survive the removal?
+            cid = comp_of[u]
+            parts = _components(comp_members[cid], adjacency)
+            snapshot: Partition | None = None
+            if len(parts) > 1:
+                comp_members[cid], comp_members[count] = (sorted(p) for p in parts)
+                comp_of.update(dict.fromkeys(comp_members[count], count))
+                count += 1
+                snapshot = partition_from_blocks(comp_members.values())
+            steps.append(DivisionStep(removed_edge=edge, component_count=count, partition=snapshot))
+            if count >= limit:  # no removal follows, so the parts' leaders are never read
+                break
+            if snapshot is not None:
+                refresh(comp_members[count - 1])
+            refresh(comp_members[cid])
     return DivisionTrace(initial=initial, steps=tuple(steps))
 
 

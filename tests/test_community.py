@@ -170,9 +170,9 @@ class TestGirvanNewman:
         # the bridge's removal reaches k=2, so neither triangle's leader is needed
         kernel, calls = community._edge_betweenness_subset, []
 
-        def counted(members, adjacency):
+        def counted(members, adjacency, fold):
             calls.append(members)
-            return kernel(members, adjacency)
+            return kernel(members, adjacency, fold)
 
         monkeypatch.setattr(community, "_edge_betweenness_subset", counted)
         trace = girvan_newman(barbell_view, stop_at_k=2)

@@ -31,7 +31,7 @@ def loaded_modules(code: str, cwd: Path) -> set[str]:
     return set(done.stdout.split())
 
 
-# betweenness forks its workers with os.fork; no pool module is needed
+# betweenness forks its peers with os.fork; no pool module is needed
 PROCESS_POOLS = {"multiprocessing", "concurrent.futures"}
 
 # The records are NamedTuples and logging is imported only where a warning is
@@ -102,7 +102,7 @@ def test_eigenvector_warning_on_stderr(tmp_path):
 
 
 def test_communities_load_no_process_pool(tmp_path):
-    # one 150-node component: large enough for the kernel to fork its workers
+    # one 150-node component: large enough for the division to fork its peers
     n = 150
     cohort = {"label": "t", "edges": [[i, (i + 1) % n] for i in range(n)],
               "students": [{"id": i, "gender": "F", "marks": {}} for i in range(n)]}

@@ -13,7 +13,9 @@ import operator
 import os
 import signal
 import threading
+import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -351,13 +353,38 @@ def test_fold_keeps_source_order():
     def row_of(s):
         return [0.1 * (s + 1) ** k for k in range(-3, 4)]
 
-    sums = {block: _block_sums_ref(300, 7, row_of, block) for block in (1, 7, 64)}
-    assert sums[1] != sums[64]  # the block size shows in the last bits
-    for block, expected in sums.items():
+    cases = [(block, 300) for block in (1, 7, 64)]
+    # even ranges whose boundaries cut a block of 64: 65 + 64, 96 + 95, and
+    # 150 + 150, 100 * 3 or 75 * 4 sources for 300
+    cases += [(64, 129), (64, 191)]
+    sums = {case: _block_sums_ref(case[1], 7, row_of, case[0]) for case in cases}
+    assert sums[1, 300] != sums[64, 300]  # the block size shows in the last bits
+    for (block, n_sources), expected in sums.items():
         for cpus in (1, 2, 3, 7):
             with forking(cpus, min_block=block) as forks:
-                assert centrality._fold_sources(300, 7, _add_rows(row_of)) == expected
-            assert len(forks) == min(cpus, 300 // block) - 1
+                assert centrality._fold_sources(n_sources, 7, _add_rows(row_of)) == expected
+            assert len(forks) == min(cpus, n_sources // block) - 1
+    assert_no_child_left()
+
+
+def test_a_fast_peer_never_overwrites_sums_being_read(monkeypatch):
+    # the caller stalls while it folds the first call's sums; its peer meanwhile
+    # writes the second call's, which must not land on those of the first
+    parent, stalled = os.getpid(), []
+
+    def add(a, b):
+        if os.getpid() == parent and not stalled:
+            stalled.append(None)
+            time.sleep(0.3)
+        return a + b
+
+    with forking(2, min_block=centrality.FORK_MIN_BLOCK) as forks:
+        monkeypatch.setattr(centrality, "operator", SimpleNamespace(add=add))
+        with centrality._peer_group(300, 2) as group:
+            first = group.fold(300, 2, _add_rows(lambda s: [1.0, float(s)]))
+            second = group.fold(300, 2, _add_rows(lambda s: [2.0, 0.0]))
+    assert stalled and len(forks) == 1
+    assert (first, second) == ([300.0, 44850.0], [600.0, 0.0])
     assert_no_child_left()
 
 
@@ -395,6 +422,17 @@ def test_planted_n400_matches_reference_on_any_cpu_count(planted400, cpus):
         _assert_betweenness_exact(net, node_refs)
         _assert_edge_betweenness_exact(view, edge_refs)
     assert len(forks) == 4 * (cpus - 1)  # two node passes, the view and its one component
+    assert_no_child_left()
+
+
+@CPUS
+def test_one_division_forks_once_per_extra_peer(planted400, cpus):
+    # the peers divide in lockstep for the whole loop; a fork per kernel call of
+    # 128 sources or more made 25 forks here on two CPUs and 40 on three
+    _, view, _, _, division = planted400
+    with forking(cpus, min_block=centrality.FORK_MIN_BLOCK) as forks:
+        assert girvan_newman(view, stop_at_k=15) == division
+    assert len(forks) == cpus - 1
     assert_no_child_left()
 
 
@@ -449,6 +487,62 @@ def test_failed_children_change_nothing(monkeypatch, cpus, misbehave):
     assert_no_child_left()
 
 
+def _exit_mid_division(real_array, typecode, values, earlier):
+    if earlier == 20:  # a peer writes 2 to 4 block sums per split kernel call
+        os._exit(1)
+    return real_array(typecode, values)
+
+
+def _skip_in_child(call):
+    """A ``_Peers.fold`` that, in a forked peer, returns zeros for its ``call``-th
+    kernel call without summing it, so that peer's division goes astray."""
+    parent, real_fold, calls = os.getpid(), centrality._Peers.fold, []
+
+    def fold(self, n_sources, width, add_sources):
+        if os.getpid() != parent:
+            calls.append(None)
+            if len(calls) == call:
+                return [0.0] * width
+        return real_fold(self, n_sources, width, add_sources)
+
+    return fold
+
+
+# what a peer does wrong (the attribute patched and its stand-in), and the
+# caller's kernel call at which the group ends
+LOST_OR_ASTRAY = {
+    "exits_at_first_row": (centrality, "array", _in_child(_exit_at_first_row), 1),
+    "kills_itself": (centrality, "array", _in_child(_kill_self), 1),
+    "exits_mid_division": (centrality, "array", _in_child(_exit_mid_division), None),
+    # the 2nd call (400 sources) is split; the peer's next sends the 3rd call's shape
+    "skips_a_split_call": (centrality._Peers, "fold", _skip_in_child(2), 2),
+    # the 5th call (86 sources) runs in every peer; the next split call's number is one short
+    "skips_a_small_call": (centrality._Peers, "fold", _skip_in_child(5), 6),
+}
+
+
+@CPUS
+@pytest.mark.parametrize("case", sorted(LOST_OR_ASTRAY))
+def test_lost_or_astray_peer_changes_no_division(monkeypatch, planted400, cpus, case):
+    _, view, _, _, division = planted400
+    owner, attr, hook, ends_at = LOST_OR_ASTRAY[case]
+    ended, real_end = [], centrality._Peers.end
+
+    def end(self):  # the caller's kernel call count whenever it ends a group with peers
+        if self.links:
+            ended.append(self.folds)
+        real_end(self)
+
+    with forking(cpus, min_block=centrality.FORK_MIN_BLOCK) as forks:
+        monkeypatch.setattr(centrality._Peers, "end", end)
+        monkeypatch.setattr(owner, attr, hook)
+        assert girvan_newman(view, stop_at_k=15) == division
+    assert len(forks) == cpus - 1
+    [at] = ended
+    assert at == ends_at if ends_at else 5 < at < 57  # 57 kernel calls in all
+    assert_no_child_left()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_no_file_descriptor_left(monkeypatch):
     parent = os.getpid()
@@ -461,15 +555,25 @@ def test_no_file_descriptor_left(monkeypatch):
             raise KeyboardInterrupt
         return row_of(s)
 
-    before = len(os.listdir("/proc/self/fd"))
-    with forking(2) as forks:
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    with forking(3) as forks:  # each fold a group of two peers and their four pipes
         assert centrality._fold_sources(300, 2, _add_rows(row_of)) == [300.0, 44850.0]
+        assert open_fds() == before  # a normal end
+        with centrality._peer_group(300, 2) as group:  # an interrupt at a group's second fold
+            assert group.fold(300, 2, _add_rows(row_of)) == [300.0, 44850.0]
+            with pytest.raises(KeyboardInterrupt):
+                group.fold(300, 2, _add_rows(interrupted))
+        assert open_fds() == before
         monkeypatch.setattr(centrality, "array", _in_child(_exit_at_first_row))
         assert centrality._fold_sources(300, 2, _add_rows(row_of)) == [300.0, 44850.0]
+        assert open_fds() == before  # lost peers
         with pytest.raises(KeyboardInterrupt):
             centrality._fold_sources(300, 2, _add_rows(interrupted))
-    assert len(forks) == 3
-    assert len(os.listdir("/proc/self/fd")) == before
+        assert open_fds() == before  # an interrupt in the caller
+    assert len(forks) == 8
     assert_no_child_left()
 
 

@@ -4,9 +4,9 @@ The test runs the step lists of ``perfbench/run.py``'s workloads at seed 7 in
 process, in a temporary working directory with relative paths, and compares
 each command's exit code, stdout hash and stderr hash, and every file's
 sha256, with ``workload_manifest.json``. It reads ``perfbench/`` and edits
-nothing there. Betweenness forks its workers when more than one CPU is
+nothing there. Betweenness forks its peers when more than one CPU is
 usable, so the same test under ``taskset -c 0`` checks that one CPU writes
-the same bytes as all of them.
+the same bytes as all of them, and under ``taskset -c 0,1`` that two peers do.
 
 To print the entries this CPython writes, run
 
